@@ -7,68 +7,4 @@ meshes) and a mixed method with cellwise densities and face fluxes (locally
 conservative, energy dissipating, positive under a CFL bound).
 """
 
-from .assembly import (
-    SolverError,
-    SparseSymMatrix,
-    harmonic_edge_average,
-    lumped_mass,
-    spd_solve,
-    stiffness_edge_based,
-    stiffness_vertex_quadrature,
-    velocity_lumped_weights,
-)
-from .harness import (
-    ConfigError,
-    ConvergenceRow,
-    RunConfig,
-    TimeSeriesRecord,
-    convergence_order,
-    l2_error,
-    parse_config,
-    run_convergence,
-    run_simulation,
-    write_convergence_csv,
-    write_timeseries_csv,
-    write_vtk,
-)
-from .logdensity import (
-    LogDensityState,
-    StepSystem,
-    bounds,
-    entropy_energy,
-    init_log_state,
-    newton_update,
-    step_logdensity,
-)
-from .mesh import (
-    EdgeGeometry,
-    Mesh,
-    MeshError,
-    build_structured_mesh,
-    compute_edge_geometry,
-    is_delaunay,
-    read_mesh,
-    vertex_patch_volumes,
-    write_mesh,
-)
-from .mixed import (
-    MixedState,
-    cfl_max_dt,
-    condense_velocity,
-    init_mixed_state,
-    physical_energy,
-    step_mixed,
-    upwind_value,
-)
-from .problems import (
-    ProblemSpec,
-    barenblatt,
-    complex_support,
-    front_position,
-    get_problem,
-    merging_gaussians,
-    waiting_time,
-    waiting_time_profile,
-)
-
 __version__ = "0.1.0"

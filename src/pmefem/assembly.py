@@ -3,7 +3,7 @@
 Provides the lumped P1 mass vector, the two nonlinear-coefficient stiffness
 variants (edge-based with harmonic coefficient averages, and vertex
 quadrature), the lumped face weights for the mixed velocity mass, and a
-direct sparse SPD solve.
+SPD solve on the shared graph operator.
 """
 
 from __future__ import annotations
@@ -19,77 +19,115 @@ class SolverError(RuntimeError):
     """Linear or nonlinear solve failed."""
 
 
-class SparseSymMatrix:
-    """Symmetric sparse matrix with each unordered index pair stored once.
+class GraphOperator:
+    """Fixed CSR pattern of a weighted graph Laplacian plus a diagonal, built
+    once per mesh on vertices (log-density) or cells (mixed) and carried on
+    the state.  It holds every diagonal entry and both directions of every
+    edge, sorted.  ``cell_edge``/``face_edge`` map the given node pairs to
+    edges, and ``face_pos`` gives the positions of (a, b) and (b, a) for each
+    face pair (a, b), so a numeric refill is a ``np.bincount``."""
 
-    Contributions are accumulated pair-keyed, so A[i, j] == A[j, i] holds
-    exactly, not just to roundoff.
-    """
+    def __init__(self, n, cell_pairs=(), face_pairs=()):
+        cell_pairs = np.asarray(cell_pairs, dtype=np.intp).reshape(-1, 2)
+        face_pairs = np.asarray(face_pairs, dtype=np.intp).reshape(-1, 2)
+        pairs = np.concatenate([cell_pairs, face_pairs])
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        if np.any(lo == hi) or lo.min(initial=0) < 0 or hi.max(initial=-1) >= n:
+            raise ValueError("graph pairs must join two distinct nodes in range")
+        self.n = n = int(n)
+        keys, pair_edge = np.unique(lo * n + hi, return_inverse=True)
+        self.ei, self.ej = keys // n, keys % n
+        self.n_edges = ne = len(keys)
+        rows = np.concatenate([self.ei, self.ej, np.arange(n)])
+        cols = np.concatenate([self.ej, self.ei, np.arange(n)])
+        order = np.lexsort((cols, rows))
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        self.upper, self.lower, self.diag = pos[:ne], pos[ne:2 * ne], pos[2 * ne:]
+        self.rows, self.indices, self.nnz = rows[order], cols[order], order.size
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self.cell_edge = pair_edge[:len(cell_pairs)]
+        self.face_edge = e = pair_edge[len(cell_pairs):]
+        forward = face_pairs[:, 0] < face_pairs[:, 1]
+        self.face_pos = np.stack([np.where(forward, self.upper[e], self.lower[e]),
+                                  np.where(forward, self.lower[e], self.upper[e])], axis=1)
 
-    def __init__(self, n, upper):
-        self.n = int(n)
-        upper = upper.tocsr()
-        upper.sum_duplicates()
-        self._upper = upper
-        self._full = None
+    def laplacian(self, weights) -> "GraphMatrix":
+        """sum_e w_e (e_i - e_j)(e_i - e_j)^T for one weight per edge; the
+        (i, j) and (j, i) entries are the same number, so symmetry is exact."""
+        data = np.empty(self.nnz)
+        data[self.upper] = data[self.lower] = -np.asarray(weights, dtype=float)
+        data[self.diag] = np.bincount(self.ei, weights, self.n) + np.bincount(self.ej, weights, self.n)
+        return GraphMatrix(self.indptr, self.indices, self.rows, self.diag, data)
 
-    @classmethod
-    def from_pairs(cls, n, rows, cols, values):
-        """Build from entries given once per unordered pair (any index order)."""
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        i = np.minimum(rows, cols)
-        j = np.maximum(rows, cols)
-        upper = sparse.coo_matrix((np.asarray(values, dtype=float), (i, j)), shape=(n, n))
-        return cls(n, upper)
+
+class GraphMatrix:
+    """Matrix on a fixed symmetric pattern: CSR arrays, the row of every
+    entry and the position of every diagonal entry."""
+
+    def __init__(self, indptr, indices, rows, diag, data):
+        self.indptr, self.indices, self.rows, self.diag, self.data = indptr, indices, rows, diag, data
+        self.n = len(indptr) - 1
+        self._csr = None
+
+    def with_data(self, data) -> "GraphMatrix":
+        return GraphMatrix(self.indptr, self.indices, self.rows, self.diag, data)
 
     def tocsr(self):
-        """Full symmetric CSR (upper triangle mirrored)."""
-        if self._full is None:
-            u = self._upper
-            self._full = (u + u.T - sparse.diags(u.diagonal())).tocsr()
-        return self._full
+        if self._csr is None:
+            self._csr = sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+        return self._csr
 
     def diagonal(self):
-        return self._upper.diagonal()
+        return self.data[self.diag]
 
     def __matmul__(self, x):
         return self.tocsr() @ x
 
     def quad_form(self, x):
         """x . A x"""
-        return float(x @ (self.tocsr() @ x))
+        return float(x @ (self @ x))
 
     def row_sums(self):
-        return np.asarray(self.tocsr().sum(axis=1)).ravel()
-
-    def scaled(self, factor):
-        return SparseSymMatrix(self.n, self._upper * factor)
-
-    def submatrix(self, index):
-        """Principal submatrix for an index array or boolean mask."""
-        index = np.asarray(index)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        sub = self.tocsr()[index][:, index]
-        return SparseSymMatrix(len(index), sparse.triu(sub))
+        return np.bincount(self.rows, self.data, self.n)
 
     def toarray(self):
         return self.tocsr().toarray()
 
-    @property
-    def nnz(self):
-        return self._upper.nnz
+    def scaled(self, factor):
+        return self.with_data(self.data * factor)
+
+    def shifted(self, shift):
+        """A + diag(shift)."""
+        data = self.data.copy()
+        data[self.diag] += shift
+        return self.with_data(data)
+
+    def restrict(self, mask):
+        """Principal submatrix on the nodes where the boolean mask holds,
+        taken by masking the pattern (rows and columns stay sorted)."""
+        mask = np.asarray(mask, dtype=bool)
+        keep = np.flatnonzero(mask[self.rows] & mask[self.indices])
+        node = np.cumsum(mask) - 1
+        rows = node[self.rows[keep]]
+        return GraphMatrix(np.searchsorted(rows, np.arange(node[-1] + 2)), node[self.indices[keep]],
+                           rows, np.searchsorted(keep, self.diag[mask]), self.data[keep])
+
+
+def vertex_graph(mesh: Mesh) -> GraphOperator:
+    """Vertex graph of the log-density stiffness: cell-local pairs, and as
+    face pairs the edges of the edge-based operator (none on quads)."""
+    iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
+    cell_pairs = np.stack([mesh.cells[:, iu], mesh.cells[:, ju]], axis=-1)
+    return GraphOperator(mesh.n_vertices, cell_pairs, () if mesh.cell_kind == QUAD else _edge_pairs(mesh))
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
     """Diagonal mass weights: |S_i|/(d+1) on simplices and intervals, the
     tensor trapezoidal weight sum(|K|/4) on quads.  Entries sum to |domain|."""
-    w = np.zeros(mesh.n_vertices)
-    nloc = mesh.cells.shape[1]
     share = mesh.dim + 1 if mesh.cell_kind != QUAD else 4
-    np.add.at(w, mesh.cells.ravel(), np.repeat(mesh.cell_volumes / share, nloc))
-    return w
+    weights = np.repeat(mesh.cell_volumes / share, mesh.cells.shape[1])
+    return np.bincount(mesh.cells.ravel(), weights, mesh.n_vertices)
 
 
 def harmonic_edge_average(u_i, u_j, m, branch_eps=1e-10):
@@ -113,36 +151,30 @@ def harmonic_edge_average(u_i, u_j, m, branch_eps=1e-10):
     return float(out) if out.ndim == 0 else out
 
 
-def _edge_arrays(mesh: Mesh, geom: EdgeGeometry):
-    """Vertex-pair edges with stiffness weights for the edge-based operator.
-
-    In 2D these are the mesh faces weighted by aggregated cotangents; in 1D
-    the vertex pairs are the cells themselves, weighted by 1/h.
-    """
-    if mesh.cell_kind == TRIANGLE:
-        return mesh.faces[:, 0], mesh.faces[:, 1], geom.omega
-    # interval mesh
-    return mesh.cells[:, 0], mesh.cells[:, 1], 1.0 / mesh.cell_volumes
+def _edge_pairs(mesh: Mesh):
+    """Vertex pairs of the edge-based operator: the mesh faces in 2D, the
+    cells themselves in 1D."""
+    return mesh.faces if mesh.cell_kind == TRIANGLE else mesh.cells
 
 
-def stiffness_edge_based(mesh: Mesh, geom: EdgeGeometry, u_prev, m, active=None) -> SparseSymMatrix:
+def stiffness_edge_based(mesh: Mesh, geom: EdgeGeometry, u_prev, m, active=None,
+                         graph: GraphOperator | None = None) -> GraphMatrix:
     """Edge-based diffusion operator sum_E omega_E * gamma_E * (e_i - e_j)(e_i - e_j)^T
-    with gamma_E the harmonic coefficient average.  Edges with an inactive
-    endpoint contribute nothing (their harmonic average vanishes)."""
+    with gamma_E the harmonic coefficient average, omega_E the aggregated
+    cotangent weight in 2D and 1/h in 1D.  Edges with an inactive endpoint
+    get weight zero (their harmonic average vanishes)."""
     if mesh.cell_kind == QUAD:
         raise ValueError("edge-based stiffness is simplex-specific; quads unsupported")
+    graph = graph or vertex_graph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
-    vi, vj, w = _edge_arrays(mesh, geom)
+    pairs = _edge_pairs(mesh)
+    vi, vj = pairs[:, 0], pairs[:, 1]
+    w = geom.omega if mesh.cell_kind == TRIANGLE else 1.0 / mesh.cell_volumes
+    w = w * harmonic_edge_average(u_prev[vi], u_prev[vj], m)
     if active is not None:
         keep = np.asarray(active, dtype=bool)
-        live = keep[vi] & keep[vj]
-        vi, vj, w = vi[live], vj[live], w[live]
-    gamma = harmonic_edge_average(u_prev[vi], u_prev[vj], m)
-    vals = w * gamma
-    rows = np.concatenate([vi, vj, vi])
-    cols = np.concatenate([vi, vj, vj])
-    data = np.concatenate([vals, vals, -vals])
-    return SparseSymMatrix.from_pairs(mesh.n_vertices, rows, cols, data)
+        w = np.where(keep[vi] & keep[vj], w, 0.0)
+    return graph.laplacian(np.bincount(graph.face_edge, w, graph.n_edges))
 
 
 def element_stiffness(mesh: Mesh) -> np.ndarray:
@@ -162,44 +194,29 @@ def element_stiffness(mesh: Mesh) -> np.ndarray:
             axis=1,
         )
         return np.einsum("cid,cjd->cij", e, e) / (4.0 * mesh.cell_volumes)[:, None, None]
-    # axis-aligned Q1 quad: 2x2 Gauss integrates the bilinear gradients exactly
+    # axis-aligned Q1 quad, nodes CCW from the lower-left corner: the exact
+    # integrals of the x- and y-derivative products of the bilinear basis
     hx = pts[:, 1, 0] - pts[:, 0, 0]
     hy = pts[:, 3, 1] - pts[:, 0, 1]
-    g = 1.0 / np.sqrt(3.0)
-    blk = np.zeros((mesh.n_cells, 4, 4))
-    signs = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    for gx in (-g, g):
-        for gy in (-g, g):
-            # d(phi_k)/dxi, d(phi_k)/deta at the Gauss point, reference [-1,1]^2
-            dxi = signs[:, 0] * (1 + signs[:, 1] * gy) / 4.0
-            deta = signs[:, 1] * (1 + signs[:, 0] * gx) / 4.0
-            gradx = np.multiply.outer(2.0 / hx, dxi)
-            grady = np.multiply.outer(2.0 / hy, deta)
-            jac = hx * hy / 4.0
-            blk += (
-                np.einsum("ci,cj->cij", gradx, gradx)
-                + np.einsum("ci,cj->cij", grady, grady)
-            ) * jac[:, None, None]
-    return blk
+    dx = np.array([[2, -2, -1, 1], [-2, 2, 1, -1], [-1, 1, 2, -2], [1, -1, -2, 2]]) / 6.0
+    dy = np.array([[2, 1, -1, -2], [1, 2, -2, -1], [-1, -2, 2, 1], [-2, -1, 1, 2]]) / 6.0
+    return np.multiply.outer(hy / hx, dx) + np.multiply.outer(hx / hy, dy)
 
 
-def stiffness_vertex_quadrature(mesh: Mesh, u_prev, m, active=None) -> SparseSymMatrix:
+def stiffness_vertex_quadrature(mesh: Mesh, u_prev, m, active=None,
+                                graph: GraphOperator | None = None) -> GraphMatrix:
     """Stiffness with the coefficient m*exp(m*u_prev) averaged over each
     cell's vertices (nodal quadrature), times the exact constant-coefficient
     element stiffness.  Inactive vertices contribute zero coefficient."""
+    graph = graph or vertex_graph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
     gamma = m * np.exp(m * u_prev)
     if active is not None:
         gamma = np.where(np.asarray(active, dtype=bool), gamma, 0.0)
     coeff = gamma[mesh.cells].mean(axis=1)
-    blocks = element_stiffness(mesh) * coeff[:, None, None]
-
-    nloc = mesh.cells.shape[1]
-    iu, ju = np.triu_indices(nloc)
-    rows = mesh.cells[:, iu].ravel()
-    cols = mesh.cells[:, ju].ravel()
-    vals = blocks[:, iu, ju].ravel()
-    return SparseSymMatrix.from_pairs(mesh.n_vertices, rows, cols, vals)
+    iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
+    off = element_stiffness(mesh)[:, iu, ju] * coeff[:, None]
+    return graph.laplacian(-np.bincount(graph.cell_edge, off.ravel(), graph.n_edges))
 
 
 def velocity_lumped_weights(mesh: Mesh, geom: EdgeGeometry) -> np.ndarray:
@@ -218,28 +235,68 @@ def velocity_lumped_weights(mesh: Mesh, geom: EdgeGeometry) -> np.ndarray:
     return geom.omega.copy()
 
 
-def spd_solve(A: SparseSymMatrix, shift, rhs):
-    """Solve (diag(shift) + A) x = rhs by sparse LU, with the contract
-    ||residual|| <= 1e-12 ||rhs||.  Raises SolverError on singular systems."""
+#: Jacobi-PCG iterations allowed before the direct fallback
+PCG_MAXITER = 500
+
+
+def spd_solve(A: GraphMatrix, shift, rhs):
+    """Solve (diag(shift) + A) x = rhs with the contract
+    ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
+    (2D meshes) try Jacobi-PCG, accepted only on its true residual; path
+    graphs (1D) and systems PCG misses go to sparse LU with one step of
+    iterative refinement.  Raises SolverError on singular systems."""
     shift = np.asarray(shift, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if A.n == 0:
         raise SolverError("empty system")
     if np.any(shift < 0):
         raise ValueError("shift entries must be nonnegative")
-    K = (A.tocsr() + sparse.diags(shift)).tocsc()
+    K = A.shifted(shift)
+    tol = 1e-12 * np.linalg.norm(rhs)
+    if np.diff(K.indptr).max() > 3:
+        x = _jacobi_pcg(K.tocsr(), K.diagonal(), rhs, tol)
+        if x is not None:
+            return x
+    K = K.tocsr()
     try:
-        lu = splu(K)
+        lu = splu(K.T)  # K is symmetric: its CSR transpose is its CSC form
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular system: {exc}") from exc
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: non-finite solution")
-    bnorm = np.linalg.norm(rhs)
     res = K @ x - rhs
-    if np.linalg.norm(res) > 1e-12 * bnorm:
+    if np.linalg.norm(res) > tol:
         x = x - lu.solve(res)  # one step of iterative refinement
         res = K @ x - rhs
-        if np.linalg.norm(res) > 1e-12 * bnorm:
+        if np.linalg.norm(res) > tol:
             raise SolverError("linear solve did not reach the residual bound")
     return x
+
+
+def _jacobi_pcg(K, d, b, tol):
+    """Jacobi-preconditioned CG from x = 0.  Returns x when its true
+    residual is at most tol, or None when K is not positive definite along
+    a search direction or PCG_MAXITER iterations do not get there."""
+    if not np.all(d > 0):
+        return None
+    inv = 1.0 / d
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = inv * r
+    p = z.copy()
+    rz = r @ z
+    for _ in range(PCG_MAXITER):
+        if r @ r <= 0.25 * tol * tol:  # the recurrence drifts from b - Kx: check that too
+            return x if np.linalg.norm(b - K @ x) <= tol else None
+        q = K @ p
+        pq = p @ q
+        if not pq > 0:
+            return None
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        z = inv * r
+        rz_old, rz = rz, r @ z
+        p = z + (rz / rz_old) * p
+    return None

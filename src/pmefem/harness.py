@@ -3,6 +3,7 @@ studies, and CSV/VTK output."""
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -12,6 +13,7 @@ import numpy as np
 
 from . import logdensity as ld
 from . import mixed as mx
+from .assembly import SolverError
 from .mesh import (
     INTERVAL,
     QUAD,
@@ -23,6 +25,8 @@ from .mesh import (
 from .problems import PROBLEM_NAMES, ProblemSpec, get_problem
 
 SCHEMES = ("logdensity", "mixed")
+
+log = logging.getLogger(__name__)
 
 
 class ConfigError(ValueError):
@@ -202,6 +206,11 @@ def validate_config(cfg: RunConfig, explicit_variant=False, explicit_autohalve=F
                           f"problem {cfg.problem!r} needs {problem.dim}")
     if len(cfg.counts) != problem.dim:
         raise ConfigError(f"need {problem.dim} cell counts, got {cfg.counts}")
+    if cfg.scheme == "mixed" and cfg.mesh_kind == TRIANGLE:
+        raise ConfigError("the mixed scheme needs strictly Delaunay faces: use mesh = "
+                          "acute_triangle (the 'triangle' split has right angles)")
+    if cfg.scheme == "logdensity" and cfg.variant == "edge" and cfg.mesh_kind == QUAD:
+        raise ConfigError("the edge variant is simplex-only: use variant = vertex on quads")
     return cfg
 
 
@@ -364,15 +373,14 @@ def _init_state(cfg: RunConfig, problem: ProblemSpec, mesh: Mesh):
 
 def _record(cfg, state, step, tracked):
     if cfg.scheme == "logdensity":
-        act = state.active
-        dens = np.exp(state.u[act]) if act.any() else np.zeros(1)
+        lo, hi = ld.bounds(state) if state.active.any() else (0.0, 0.0)
         return TimeSeriesRecord(
             step=step,
             time=state.time,
             mass=state.total_mass(),
             energy=ld.entropy_energy(state),
-            min_density=float(dens.min()) if act.any() else 0.0,
-            max_density=float(dens.max()) if act.any() else 0.0,
+            min_density=lo,
+            max_density=hi,
             tracked_density=None if tracked is None else float(state.density()[tracked]),
         )
     per_cell, bound = mx.cfl_max_dt(state)
@@ -420,16 +428,20 @@ def run_simulation(cfg: RunConfig):
 
 
 def _mixed_step_with_cfl(state, dt, newton, autohalve):
-    """Optionally recompute a step at dt/2 while the post hoc CFL bound from
-    the new flux is violated (at most 20 halvings)."""
+    """Take a mixed step and check dt against the post hoc CFL bound from the
+    new flux.  A violation is logged as a warning; with autohalve the step is
+    redone at dt/2 instead, and SolverError is raised when 20 halvings do
+    not meet the bound."""
     new = mx.step_mixed(state, dt, newton)
-    if not autohalve:
-        return new
-    for _ in range(20):
-        _, bound = mx.cfl_max_dt(new)
-        if dt <= bound:
-            return new
-        dt *= 0.5
+    halvings = 0
+    while dt > (bound := mx.cfl_max_dt(new)[1]):
+        if not autohalve:
+            log.warning("mixed step at t=%g: dt=%g exceeds the post hoc CFL bound %g; "
+                        "positivity is not guaranteed", state.time + dt, dt, bound)
+            break
+        if halvings == 20:
+            raise SolverError(f"CFL bound {bound:.3e} still below dt={dt:.3e} after 20 halvings")
+        dt, halvings = 0.5 * dt, halvings + 1
         new = mx.step_mixed(state, dt, newton)
     return new
 

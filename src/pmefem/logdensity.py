@@ -19,11 +19,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import (
+    GraphOperator,
     SolverError,
     lumped_mass,
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
+    vertex_graph,
 )
 from .mesh import EdgeGeometry, Mesh, compute_edge_geometry
 
@@ -32,18 +34,21 @@ LOG_FLOOR = -50.0
 
 VARIANTS = ("vertex", "edge")
 
+#: backtracking halvings allowed in one Newton line search
+LINE_SEARCH_HALVINGS = 50
+
 
 @dataclass
 class NewtonParams:
     tol: float = 1e-11          # residual inf-norm, in lumped-mass units
     max_iter: int = 50
-    max_halvings: int = 50      # line-search budget
 
 
 @dataclass(frozen=True)
 class LogDensityState:
     """Nodal log-density with its active mask; density is exp(u) where
-    active and exactly 0 elsewhere."""
+    active and exactly 0 elsewhere.  ``graph`` is the mesh's vertex graph,
+    built on construction when not given and passed on by every step."""
 
     mesh: Mesh
     geom: EdgeGeometry
@@ -53,6 +58,11 @@ class LogDensityState:
     time: float = 0.0
     cutoff: float = 1e-14
     lumped: np.ndarray = field(default=None, repr=False)
+    graph: GraphOperator = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.graph is None:
+            object.__setattr__(self, "graph", vertex_graph(self.mesh))
 
     def density(self) -> np.ndarray:
         return np.where(self.active, np.exp(self.u), 0.0)
@@ -95,13 +105,15 @@ class StepSystem:
         self.dt = float(dt)
         self.variant = variant
         self.M = state.lumped
+        coefficient = (state.u, state.m, state.active, state.graph)
         if variant == "edge":
-            self.A = stiffness_edge_based(state.mesh, state.geom, state.u, state.m, state.active)
+            self.A = stiffness_edge_based(state.mesh, state.geom, *coefficient)
         else:
-            self.A = stiffness_vertex_quadrature(state.mesh, state.u, state.m, state.active)
+            self.A = stiffness_vertex_quadrature(state.mesh, *coefficient)
+        self.dtA = self.A.scaled(self.dt)
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev
-        self.diag = self.dt * self.A.diagonal()
+        self.diag = self.dtA.diagonal()
         self.cutoff = state.cutoff
 
     def activation_mask(self, u, active):
@@ -137,7 +149,7 @@ def newton_update(system: StepSystem, u, active):
     dens = np.where(active, np.exp(u), 0.0)
     shift = (system.M * dens)[act]
     rhs = (system.M * (dens * np.where(active, u, 0.0) - dens + system.exp_prev))[act]
-    x = spd_solve(system.A.submatrix(act).scaled(system.dt), shift, rhs)
+    x = spd_solve(system.dtA.restrict(act), shift, rhs)
 
     u_full = np.full_like(u, LOG_FLOOR)
     u_full[act] = x
@@ -149,13 +161,13 @@ def newton_update(system: StepSystem, u, active):
     f0 = system.functional(u, act)
     step = u_full[act] - u[act]
     lam = 1.0
-    for _ in range(50):
+    for _ in range(LINE_SEARCH_HALVINGS):
         cand = np.full_like(u, LOG_FLOOR)
         cand[act] = u[act] + lam * step
         if system.functional(cand, act) <= f0 + 1e-12 * max(1.0, abs(f0)):
             return cand, act
         lam *= 0.5
-    raise SolverError("line search exhausted 50 halvings")
+    raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
 
 
 def step_logdensity(state: LogDensityState, dt, variant: str = "vertex",

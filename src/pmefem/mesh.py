@@ -101,23 +101,13 @@ def _orient_cells(vertices, cells, kind):
         vol = _cell_volumes(vertices, cells, kind)
         flip = vol < 0
         cells[flip] = cells[flip][:, [0, 2, 1]]
-    else:
-        cells = np.array([_canonical_quad(vertices, c) for c in cells], dtype=np.intp)
-    return cells
-
-def _canonical_quad(vertices, cell):
-    """Order an axis-aligned quad CCW from its lower-left corner."""
-    pts = vertices[list(cell)]
-    xs, ys = np.unique(pts[:, 0]), np.unique(pts[:, 1])
-    if len(xs) != 2 or len(ys) != 2:
-        raise MeshError("quad cell is not an axis-aligned rectangle")
-    order = []
-    for x, y in ((xs[0], ys[0]), (xs[1], ys[0]), (xs[1], ys[1]), (xs[0], ys[1])):
-        hit = [v for v in cell if vertices[v, 0] == x and vertices[v, 1] == y]
-        if len(hit) != 1:
+    else:  # axis-aligned quad: CCW from the lower-left corner
+        by_y_then_x = np.lexsort((vertices[cells, 0], vertices[cells, 1]))
+        cells = np.take_along_axis(cells, by_y_then_x[:, [0, 1, 3, 2]], axis=1)
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = np.moveaxis(vertices[cells], 0, -1)
+        if not np.all((y0 == y1) & (y2 == y3) & (x0 == x3) & (x1 == x2) & (x0 < x1) & (y0 < y3)):
             raise MeshError("quad cell is not an axis-aligned rectangle")
-        order.append(hit[0])
-    return order
+    return cells
 
 
 _LOCAL_FACES = {
@@ -149,41 +139,42 @@ def make_mesh(vertices, cells, kind) -> Mesh:
     if np.any(volumes <= 0):
         raise MeshError("degenerate cell with non-positive volume")
 
-    # first toucher fixes the face orientation; second toucher closes it
-    face_index: dict[tuple, int] = {}
-    faces, face_cells, normals, measures = [], [], [], []
-    for ci, cell in enumerate(cells):
-        for loc in _LOCAL_FACES[kind]:
-            fverts = tuple(cell[list(loc)])
-            key = tuple(sorted(fverts))
-            idx = face_index.get(key)
-            if idx is None:
-                face_index[key] = len(faces)
-                faces.append(fverts)
-                face_cells.append([ci, -1])
-                if kind == INTERVAL:
-                    normals.append([-1.0] if loc == (0,) else [1.0])
-                    measures.append(1.0)
-                else:
-                    t = vertices[fverts[1]] - vertices[fverts[0]]
-                    length = float(np.hypot(t[0], t[1]))
-                    # CCW cell: outward normal is the right-rotation of the edge
-                    normals.append([t[1] / length, -t[0] / length])
-                    measures.append(length)
-            else:
-                if face_cells[idx][1] >= 0:
-                    raise MeshError("non-conforming mesh: face shared by >2 cells")
-                face_cells[idx][1] = ci
+    # one token per (cell, local face) in cell order; the first toucher fixes
+    # the face orientation and numbering, the second closes the face
+    local = np.array(_LOCAL_FACES[kind])
+    nloc = len(local)
+    tokens = cells[:, local].reshape(-1, local.shape[1])
+    ends = np.sort(tokens, axis=1)
+    keys = ends[:, 0] * len(vertices) + ends[:, -1]
+    _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    if np.any(counts > 2):
+        raise MeshError("non-conforming mesh: face shared by >2 cells")
+    second = np.ones(len(tokens), dtype=bool)
+    second[first] = False
+    face_of = (np.cumsum(~second) - 1)[first[inverse]]
+    first = np.flatnonzero(~second)
+    faces = tokens[first]
+    face_cells = np.column_stack([first // nloc, np.full(first.size, -1)])
+    face_cells[face_of[second], 1] = np.flatnonzero(second) // nloc
+    if kind == INTERVAL:
+        normals = np.where(first % nloc == 0, -1.0, 1.0)[:, None]
+        measures = np.ones(first.size)
+    else:
+        t = vertices[faces[:, 1]] - vertices[faces[:, 0]]
+        measures = np.hypot(t[:, 0], t[:, 1])
+        # CCW cell: outward normal is the right-rotation of the edge
+        normals = np.column_stack([t[:, 1] / measures, -t[:, 0] / measures])
 
     return Mesh(
         dim=dim,
         cell_kind=kind,
         vertices=_readonly(vertices),
         cells=_readonly(cells, np.intp),
-        faces=_readonly(np.asarray(faces), np.intp),
-        face_cells=_readonly(np.asarray(face_cells), np.intp),
-        face_normals=_readonly(np.asarray(normals)),
-        face_measures=_readonly(np.asarray(measures)),
+        faces=_readonly(faces, np.intp),
+        face_cells=_readonly(face_cells, np.intp),
+        face_normals=_readonly(normals),
+        face_measures=_readonly(measures),
         cell_volumes=_readonly(volumes),
     )
 
@@ -242,21 +233,16 @@ def build_structured_mesh(kind, box, counts) -> Mesh:
     ys = np.linspace(box[1, 0], box[1, 1], ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     verts = np.column_stack([X.ravel(), Y.ravel()])
-    vid = lambda i, j: j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            if kind == QUAD:
-                cells.append([v00, v10, v11, v01])
-            elif (i + j) % 2 == 0:
-                cells.append([v00, v10, v11])
-                cells.append([v00, v11, v01])
-            else:
-                cells.append([v00, v10, v01])
-                cells.append([v10, v11, v01])
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(nx), np.arange(ny)))
+    v00 = j * (nx + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    if kind == QUAD:
+        cells = np.column_stack([v00, v10, v11, v01])
+    else:  # alternate the diagonal from quad to quad
+        even = ((i + j) % 2 == 0)[:, None]
+        lower = np.where(even, np.column_stack([v00, v10, v11]), np.column_stack([v00, v10, v01]))
+        upper = np.where(even, np.column_stack([v00, v11, v01]), np.column_stack([v10, v11, v01]))
+        cells = np.stack([lower, upper], axis=1).reshape(-1, 3)
     return make_mesh(verts, cells, QUAD if kind == QUAD else TRIANGLE)
 
 

@@ -9,19 +9,21 @@ system for the cell densities alone:
 with u_E = |E| (mu_K1 - mu_K2) / omega_E, mu = m/(m-1) rho^{m-1}, and
 rhohat the previous density upwinded by the sign of u_E.  The sign
 dependence makes the system semismooth: Newton steps are taken with frozen
-upwind directions, and convergence requires both a small residual and a
-stable sign pattern.
+upwind directions, and convergence requires both a small residual and
+stable upwind values.  A flux sign that flips between two cells of equal
+previous density changes no upwind value, so it does not hold convergence
+back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .assembly import SolverError, velocity_lumped_weights
+from .assembly import GraphOperator, SolverError, velocity_lumped_weights
 from .mesh import EdgeGeometry, Mesh, MeshError, compute_edge_geometry
 
 
@@ -38,7 +40,9 @@ class MixedState:
 
     rho >= 0 per cell (to solver slack), mu = m/(m-1) rho^{m-1}, u is the
     normal velocity component along each face normal; boundary faces carry
-    u = 0 (no-flux condition built into the velocity space).
+    u = 0 (no-flux condition built into the velocity space).  ``graph`` is
+    the mesh's cell graph, built on construction when not given and passed
+    on by every step.
     """
 
     mesh: Mesh
@@ -48,6 +52,12 @@ class MixedState:
     mu: np.ndarray
     u: np.ndarray
     time: float = 0.0
+    graph: GraphOperator = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.graph is None:  # cells joined by an interior face, in face order
+            interior_pairs = self.mesh.face_cells[self.mesh.interior_faces]
+            object.__setattr__(self, "graph", GraphOperator(self.mesh.n_cells, face_pairs=interior_pairs))
 
     def total_mass(self) -> float:
         return float(self.mesh.cell_volumes @ self.rho)
@@ -59,6 +69,17 @@ def potential_from_density(rho, m):
     return m / (m - 1.0) * np.maximum(np.asarray(rho, dtype=float), 0.0) ** (m - 1.0)
 
 
+def _interior_faces(geom: EdgeGeometry, min_weight: float = 1e-12):
+    """Interior-face mask, measures |E| and lumped velocity weights w_E.
+    Rejects meshes whose interior face weights are not strictly positive
+    (non-Delaunay triangulations)."""
+    mesh = geom.mesh
+    interior = mesh.interior_faces
+    if np.any(geom.omega[interior] <= min_weight):
+        raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
+    return interior, mesh.face_measures[interior], velocity_lumped_weights(mesh, geom)[interior]
+
+
 def condense_velocity(mu, geom: EdgeGeometry, min_weight: float = 1e-12) -> np.ndarray:
     """Per-face normal velocity from the cell potentials:
     u_E = |E| (mu_first - mu_second) / w_E on interior faces, 0 on the
@@ -66,15 +87,11 @@ def condense_velocity(mu, geom: EdgeGeometry, min_weight: float = 1e-12) -> np.n
     interior face weights are not strictly positive (non-Delaunay
     triangulations)."""
     mesh = geom.mesh
-    mu = np.asarray(mu, dtype=float)
-    interior = mesh.interior_faces
-    if np.any(geom.omega[interior] <= min_weight):
-        raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
-    w = velocity_lumped_weights(mesh, geom)
+    interior, measure, weight = _interior_faces(geom, min_weight)
     u = np.zeros(mesh.n_faces)
-    k1 = mesh.face_cells[interior, 0]
-    k2 = mesh.face_cells[interior, 1]
-    u[interior] = mesh.face_measures[interior] * (mu[k1] - mu[k2]) / w[interior]
+    k1, k2 = mesh.face_cells[interior].T
+    mu = np.asarray(mu, dtype=float)
+    u[interior] = measure * (mu[k1] - mu[k2]) / weight
     return u
 
 
@@ -102,20 +119,6 @@ def init_mixed_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> M
     return MixedState(mesh=mesh, geom=geom, m=float(m), rho=rho, mu=mu, u=u)
 
 
-class _FaceData:
-    """Interior-face index arrays used by the per-step residual/Jacobian."""
-
-    def __init__(self, mesh: Mesh, geom: EdgeGeometry):
-        interior = mesh.interior_faces
-        if np.any(geom.omega[interior] <= 1e-12):
-            raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
-        self.k1 = mesh.face_cells[interior, 0]
-        self.k2 = mesh.face_cells[interior, 1]
-        self.measure = mesh.face_measures[interior]
-        self.weight = velocity_lumped_weights(mesh, geom)[interior]
-        self.interior = interior
-
-
 def _dmu(rho, m):
     """d(mu)/d(rho) = m * rho^{m-2}, clamped for the degenerate origin."""
     rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
@@ -131,59 +134,51 @@ def step_mixed(state: MixedState, dt, newton: NewtonParams | None = None) -> Mix
     if dt <= 0:
         raise ValueError("dt must be positive")
     newton = newton or NewtonParams()
-    mesh, geom, m = state.mesh, state.geom, state.m
-    fd = _FaceData(mesh, geom)
-    vol = mesh.cell_volumes
+    mesh, m, graph = state.mesh, state.m, state.graph
+    interior, measure, weight = _interior_faces(state.geom)
+    k1, k2 = mesh.face_cells[interior].T
+    n, vol = mesh.n_cells, mesh.cell_volumes
     rho_prev = state.rho
     dt = float(dt)
-
-    def flux_parts(rho):
-        mu = potential_from_density(rho, m)
-        u_int = fd.measure * (mu[fd.k1] - mu[fd.k2]) / fd.weight
-        signs = u_int >= 0
-        rhat = np.where(signs, rho_prev[fd.k1], rho_prev[fd.k2])
-        return u_int, signs, rhat
-
-    def residual(rho, u_int, rhat):
-        r = vol * (rho - rho_prev)
-        f = rhat * u_int * fd.measure
-        np.add.at(r, fd.k1, dt * f)
-        np.subtract.at(r, fd.k2, dt * f)
-        return r
+    # Jacobian entries (row, column) of each face: (k1, k2), (k2, k1), (k1, k1),
+    # (k2, k2), then the diagonal mass; stored transposed, as CSC
+    p12, p21 = graph.face_pos.T
+    jac_pos = np.concatenate([p21, p12, graph.diag[k1], graph.diag[k2], graph.diag])
 
     rho = rho_prev.copy()
-    signs_last = None
+    rhat_last = None
     total = newton.max_iter + newton.max_damped
     for it in range(total + 1):
-        u_int, signs, rhat = flux_parts(rho)
-        r = residual(rho, u_int, rhat)
+        mu = potential_from_density(rho, m)
+        u_int = measure * (mu[k1] - mu[k2]) / weight
+        rhat = np.where(u_int >= 0, rho_prev[k1], rho_prev[k2])
+        f = dt * (rhat * u_int * measure)
+        r = vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
         res = float(np.max(np.abs(r)))
-        if res <= newton.tol and (signs_last is None or np.array_equal(signs, signs_last)):
+        if res <= newton.tol and (rhat_last is None or np.array_equal(rhat, rhat_last)):
             if it == 0:
                 return replace(state, time=state.time + dt)
-            mu = potential_from_density(rho, m)
             u = np.zeros(mesh.n_faces)
-            u[fd.interior] = u_int
+            u[interior] = u_int
             return replace(state, rho=rho, mu=mu, u=u, time=state.time + dt)
         if it == total:
             raise SolverError(f"mixed Newton did not converge: residual {res:.3e}")
 
         # Newton step with frozen upwind directions
-        g = dt * rhat * fd.measure**2 / fd.weight
-        d1 = g * _dmu(rho[fd.k1], m)
-        d2 = g * _dmu(rho[fd.k2], m)
-        rows = np.concatenate([fd.k1, fd.k1, fd.k2, fd.k2])
-        cols = np.concatenate([fd.k1, fd.k2, fd.k1, fd.k2])
-        vals = np.concatenate([d1, -d2, -d1, d2])
-        jac = sparse.coo_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_cells))
-        jac = (jac + sparse.diags(vol)).tocsc()
+        g = dt * rhat * measure**2 / weight
+        d1 = g * _dmu(rho[k1], m)
+        d2 = g * _dmu(rho[k2], m)
+        vals = np.concatenate([-d2, -d1, d1, d2, vol])
+        jac = sparse.csc_matrix((np.bincount(jac_pos, vals, graph.nnz), graph.indices, graph.indptr),
+                                shape=(n, n))
+        jac.eliminate_zeros()  # faces without upwind mass: zeros would only add LU fill
         delta = spsolve(jac, -r)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")
         if it >= newton.max_iter:
             delta = 0.5 * delta  # damped fallback for oscillating sign patterns
         rho = rho + delta
-        signs_last = signs
+        rhat_last = rhat
     raise SolverError("unreachable")
 
 
@@ -192,14 +187,12 @@ def cfl_max_dt(state: MixedState):
     faces of |u . n_K| |E| / |K|, and its global minimum.  Cells without
     outflow report +inf."""
     mesh = state.mesh
-    outflow = np.zeros(mesh.n_cells)
     interior = mesh.interior_faces
-    k1 = mesh.face_cells[interior, 0]
-    k2 = mesh.face_cells[interior, 1]
+    k1, k2 = mesh.face_cells[interior].T
     u = state.u[interior]
     meas = mesh.face_measures[interior]
-    np.add.at(outflow, k1, np.maximum(u, 0.0) * meas)
-    np.add.at(outflow, k2, np.maximum(-u, 0.0) * meas)
+    outflow = (np.bincount(k1, np.maximum(u, 0.0) * meas, mesh.n_cells)
+               + np.bincount(k2, np.maximum(-u, 0.0) * meas, mesh.n_cells))
     per_cell = np.full(mesh.n_cells, np.inf)
     with np.errstate(over="ignore"):
         np.divide(mesh.cell_volumes, outflow, out=per_cell, where=outflow > 0)

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pmefem import assembly
 from pmefem.assembly import (
+    GraphMatrix,
+    GraphOperator,
     SolverError,
-    SparseSymMatrix,
     harmonic_edge_average,
     lumped_mass,
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
     velocity_lumped_weights,
+    vertex_graph,
 )
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
+from pmefem.mixed import init_mixed_state
 
 
 def p1_stiffness_oracle(mesh, coeff=1.0):
@@ -224,24 +228,40 @@ class TestVelocityWeights:
         assert np.all(w[m.interior_faces] > 0)
 
 
+def graph_matrix(n, pairs, off, diag):
+    """Symmetric matrix with off-diagonal entries `off` on `pairs` (summed
+    per pair) and the given diagonal."""
+    op = GraphOperator(n, face_pairs=pairs)
+    data = np.zeros(op.nnz)
+    data[op.upper] = data[op.lower] = np.bincount(op.face_edge, off, op.n_edges)
+    data[op.diag] = diag
+    return GraphMatrix(op.indptr, op.indices, op.rows, op.diag, data)
+
+
+def stiffness_2d(seed=5, counts=(8, 8)):
+    rng = np.random.default_rng(seed)
+    m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), counts)
+    return m, stiffness_vertex_quadrature(m, rng.normal(size=m.n_vertices), 2.0), rng
+
+
 class TestSpdSolve:
     def test_identity_shift(self):
-        A = SparseSymMatrix.from_pairs(3, [], [], [])
+        A = graph_matrix(3, [], [], np.zeros(3))
         rhs = np.array([1.0, -2.0, 0.5])
         assert spd_solve(A, np.ones(3), rhs) == pytest.approx(rhs)
 
     def test_hand_2x2(self):
-        A = SparseSymMatrix.from_pairs(2, [0, 1, 0], [0, 1, 1], [2.0, 2.0, -1.0])
+        A = graph_matrix(2, [(0, 1)], [-1.0], [2.0, 2.0])
         x = spd_solve(A, np.zeros(2), np.array([1.0, 0.0]))
         assert x == pytest.approx([2 / 3, 1 / 3])
 
     def test_zero_matrix_fails(self):
-        A = SparseSymMatrix.from_pairs(2, [], [], [])
+        A = graph_matrix(2, [], [], np.zeros(2))
         with pytest.raises(SolverError):
             spd_solve(A, np.zeros(2), np.array([1.0, 1.0]))
 
     def test_negative_shift_rejected(self):
-        A = SparseSymMatrix.from_pairs(1, [0], [0], [1.0])
+        A = graph_matrix(1, [], [], [1.0])
         with pytest.raises(ValueError):
             spd_solve(A, np.array([-1.0]), np.array([1.0]))
 
@@ -256,19 +276,90 @@ class TestSpdSolve:
         res = A @ x + shift * x - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
+    def test_pcg_path_contract(self, monkeypatch):
+        m, A, rng = stiffness_2d()
+        active = rng.uniform(size=m.n_vertices) < 0.8
+        K = A.scaled(1e-2).restrict(active)
+        shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_vertices
+        rhs = rng.normal(size=K.n)
 
-class TestSparseSymMatrix:
+        def no_lu(*args):
+            raise AssertionError("2D system left the PCG path")
+
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        x = spd_solve(K, shift, rhs)
+        res = K @ x + shift * x - rhs
+        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_path_graph_solves_directly(self, monkeypatch):
+        m = build_structured_mesh("interval", (0, 1), 30)
+        A = stiffness_vertex_quadrature(m, np.zeros(31), 2.0)
+        monkeypatch.setattr(assembly, "_jacobi_pcg", lambda *args: pytest.fail("PCG on a path graph"))
+        rhs = np.linspace(-1.0, 1.0, 31)
+        x = spd_solve(A, np.full(31, 0.1), rhs)
+        assert np.linalg.norm(A @ x + 0.1 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("case", ["iteration_cap", "indefinite"])
+    def test_forced_fallback(self, monkeypatch, case):
+        m, A, rng = stiffness_2d()
+        shift = np.full(m.n_vertices, 1e-3)
+        if case == "iteration_cap":
+            monkeypatch.setattr(assembly, "PCG_MAXITER", 1)
+        else:
+            A = A.scaled(-1.0)  # negative definite plus a small shift: PCG breaks down
+        calls = []
+        real_splu = assembly.splu
+        monkeypatch.setattr(assembly, "splu", lambda K: calls.append(K) or real_splu(K))
+        rhs = rng.normal(size=m.n_vertices)
+        x = spd_solve(A, shift, rhs)
+        assert len(calls) == 1
+        assert np.linalg.norm(A @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+class TestGraphOperator:
     def test_exact_symmetry_and_pair_accumulation(self):
-        A = SparseSymMatrix.from_pairs(3, [0, 1, 1, 2], [1, 0, 2, 2], [0.1, 0.2, 0.3, 0.4])
-        arr = A.toarray()
-        assert np.array_equal(arr, arr.T)
-        assert arr[0, 1] == pytest.approx(0.3)  # (0,1) and (1,0) accumulate together
+        op = GraphOperator(3, cell_pairs=[(0, 1), (1, 0), (1, 2)])
+        assert op.n_edges == 2
+        A = op.laplacian(np.bincount(op.cell_edge, [0.1, 0.2, 0.3], op.n_edges)).toarray()
+        assert np.array_equal(A, A.T)
+        assert A[0, 1] == pytest.approx(-0.3)  # (0,1) and (1,0) accumulate together
+        m, K, rng = stiffness_2d()
+        for B in (K, stiffness_edge_based(m, compute_edge_geometry(m), rng.normal(size=m.n_vertices), 3.0)):
+            arr = B.toarray()
+            assert np.array_equal(arr, arr.T)
 
-    def test_submatrix(self):
-        A = SparseSymMatrix.from_pairs(3, [0, 1, 2, 0], [0, 1, 2, 2], [1.0, 2.0, 3.0, -1.0])
-        sub = A.submatrix(np.array([True, False, True]))
-        assert np.allclose(sub.toarray(), [[1.0, -1.0], [-1.0, 3.0]])
+    def test_restrict(self):
+        m, A, rng = stiffness_2d()
+        active = rng.uniform(size=m.n_vertices) < 0.6
+        sub = A.restrict(active)
+        full = A.toarray()
+        assert sub.n == int(active.sum())
+        assert np.array_equal(sub.toarray(), full[active][:, active])
+        assert np.array_equal(sub.diagonal(), full.diagonal()[active])
+        # rows lose exactly their coupling to the dropped vertices
+        assert sub.row_sums() == pytest.approx(-full[active][:, ~active].sum(axis=1), abs=1e-12)
+        assert np.max(np.abs(A.row_sums())) < 1e-12
 
     def test_scaled(self):
-        A = SparseSymMatrix.from_pairs(2, [0, 1], [1, 1], [2.0, 1.0])
-        assert np.allclose(A.scaled(0.5).toarray(), [[0.0, 1.0], [1.0, 0.5]])
+        A = graph_matrix(2, [(0, 1)], [1.0], [0.0, 1.0])
+        assert np.allclose(A.scaled(0.5).toarray(), [[0.0, 0.5], [0.5, 0.5]])
+
+    def test_inactive_edges_keep_the_pattern(self):
+        m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (4, 4))
+        active = np.ones(m.n_vertices, bool)
+        active[::3] = False
+        graph = vertex_graph(m)
+        A = stiffness_edge_based(m, compute_edge_geometry(m), np.zeros(m.n_vertices), 2.0, active, graph)
+        assert A.data.size == graph.nnz
+        arr = A.toarray()
+        assert np.all(arr[~active][:, active] == 0.0)
+
+    def test_cell_graph_face_positions(self):
+        m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (3, 3))
+        op = init_mixed_state(m, lambda pts: np.ones(len(pts)), 2.0).graph
+        pairs = m.face_cells[m.interior_faces]
+        assert op.n_edges == len(pairs)
+        assert np.array_equal(op.rows[op.face_pos[:, 0]], pairs[:, 0])
+        assert np.array_equal(op.indices[op.face_pos[:, 0]], pairs[:, 1])
+        assert np.array_equal(op.rows[op.face_pos[:, 1]], pairs[:, 1])
+        assert np.array_equal(op.indices[op.face_pos[:, 1]], pairs[:, 0])

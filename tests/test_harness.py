@@ -1,11 +1,14 @@
 """Config parsing, error norms, simulation records, file formats, CLI."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from pmefem import cli
+from pmefem import mixed as mx
+from pmefem.assembly import GraphOperator, SolverError
 from pmefem.harness import (
     ConfigError,
     RunConfig,
@@ -19,6 +22,7 @@ from pmefem.harness import (
     write_timeseries_csv,
     write_vtk,
     ConvergenceRow,
+    _mixed_step_with_cfl,
 )
 from pmefem.mesh import build_structured_mesh, write_mesh
 from pmefem.mixed import init_mixed_state
@@ -92,6 +96,16 @@ class TestParseConfig:
     def test_mesh_dimension_mismatch(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, MINIMAL + "mesh = quad\n"))
+
+    @pytest.mark.parametrize("scheme,rejected,accepted", [
+        ("mixed", "mesh = triangle\n", "mesh = acute_triangle\n"),
+        ("logdensity", "mesh = quad\nvariant = edge\n", "mesh = quad\nvariant = vertex\n"),
+    ])
+    def test_scheme_mesh_mismatch(self, tmp_path, scheme, rejected, accepted):
+        base = MINIMAL.replace("barenblatt1d", "barenblatt2d").replace("logdensity", scheme)
+        with pytest.raises(ConfigError):
+            parse_config(write_cfg(tmp_path, base + rejected))
+        parse_config(write_cfg(tmp_path, base + accepted))
 
 
 class TestL2Error:
@@ -206,6 +220,18 @@ class TestRunSimulation:
         _, records = run_simulation(cfg)
         assert records[-1].time == pytest.approx(0.3)
 
+    def test_graph_built_once_per_mesh(self, monkeypatch):
+        built = []
+        init = GraphOperator.__init__
+        monkeypatch.setattr(GraphOperator, "__init__",
+                            lambda self, *args, **kwargs: built.append(args[0]) or init(self, *args, **kwargs))
+        for scheme in ("logdensity", "mixed"):
+            cfg = RunConfig(scheme=scheme, problem="horseshoe", m=3.0, dt=1e-3, T=5e-3, counts=(8, 8))
+            state, records = run_simulation(cfg)
+            assert len(records) == 5
+        mesh = state.mesh
+        assert built == [mesh.n_vertices, mesh.n_cells]
+
     def test_solver_failure_carries_step_index(self):
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
                         dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
@@ -218,6 +244,32 @@ class TestRunSimulation:
         assert cfg.domain == ((-4.0, 4.0), (-4.0, 4.0))
         state, _ = run_simulation(cfg)
         assert state.mesh.volume == pytest.approx(64.0)
+
+
+class TestCflGuard:
+    def barenblatt_state(self):
+        mesh = build_structured_mesh("interval", (-10, 10), 50)
+        return init_mixed_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
+
+    def test_violation_without_autohalve_is_logged(self, caplog):
+        st = self.barenblatt_state()
+        with caplog.at_level(logging.WARNING, logger="pmefem.harness"):
+            _mixed_step_with_cfl(st, 1e-3, mx.NewtonParams(), autohalve=False)
+            assert not caplog.records
+            new = _mixed_step_with_cfl(st, 0.5, mx.NewtonParams(), autohalve=False)
+        assert mx.cfl_max_dt(new)[1] < 0.5
+        assert len(caplog.records) == 1
+        assert "exceeds the post hoc CFL bound" in caplog.text
+
+    def test_exhausted_halvings_raise(self, monkeypatch):
+        st = self.barenblatt_state()
+        steps = []
+        step = mx.step_mixed
+        monkeypatch.setattr(mx, "step_mixed", lambda *args: steps.append(args[1]) or step(*args))
+        monkeypatch.setattr(mx, "cfl_max_dt", lambda state: (None, 1e-30))
+        with pytest.raises(SolverError, match="20 halvings"):
+            _mixed_step_with_cfl(st, 0.01, mx.NewtonParams(), autohalve=True)
+        assert steps == [0.01 / 2**k for k in range(21)]
 
 
 class TestDeterminism:

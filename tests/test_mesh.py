@@ -80,6 +80,29 @@ class TestFaceOrientation:
                 assert np.dot(n, bary[c2] - fc) > 0
             assert np.linalg.norm(n) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("kind,counts", [
+        ("interval", 7), ("triangle", (5, 4)), ("quad", (4, 3)), ("acute_triangle", (6, 5)),
+    ])
+    def test_faces_match_cell_loop(self, kind, counts):
+        # reference: walk the cells in order; the first cell to touch a face
+        # fixes its number and orientation, the second closes it
+        box = (0, 1) if kind == "interval" else ((0, 1), (0, 2))
+        m = build_structured_mesh(kind, box, counts)
+        local = {1: ((0,), (1,)), 3: ((0, 1), (1, 2), (2, 0)), 4: ((0, 1), (1, 2), (2, 3), (3, 0))}
+        index, faces, face_cells = {}, [], []
+        for ci, cell in enumerate(m.cells):
+            for loc in local[1 if kind == "interval" else m.cells.shape[1]]:
+                fverts = tuple(cell[list(loc)])
+                key = tuple(sorted(fverts))
+                if key in index:
+                    face_cells[index[key]][1] = ci
+                else:
+                    index[key] = len(faces)
+                    faces.append(fverts)
+                    face_cells.append([ci, -1])
+        assert np.array_equal(m.faces, faces)
+        assert np.array_equal(m.face_cells, face_cells)
+
     def test_interior_faces_have_two_cells(self):
         m = build_structured_mesh("triangle", ((0, 1), (0, 1)), (3, 3))
         counts = np.zeros(m.n_faces, int)
