@@ -24,8 +24,7 @@ class GraphOperator:
     once per mesh on vertices (log-density) or cells (mixed) and carried on
     the state.  It holds every diagonal entry and both directions of every
     edge, sorted.  ``cell_edge``/``face_edge`` map the given node pairs to
-    edges, and ``face_pos`` gives the positions of (a, b) and (b, a) for each
-    face pair (a, b), so a numeric refill is a ``np.bincount``."""
+    edges, so a numeric refill is a ``np.bincount``."""
 
     def __init__(self, n, cell_pairs=(), face_pairs=()):
         cell_pairs = np.asarray(cell_pairs, dtype=np.intp).reshape(-1, 2)
@@ -47,10 +46,7 @@ class GraphOperator:
         self.rows, self.indices, self.nnz = rows[order], cols[order], order.size
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
         self.cell_edge = pair_edge[:len(cell_pairs)]
-        self.face_edge = e = pair_edge[len(cell_pairs):]
-        forward = face_pairs[:, 0] < face_pairs[:, 1]
-        self.face_pos = np.stack([np.where(forward, self.upper[e], self.lower[e]),
-                                  np.where(forward, self.lower[e], self.upper[e])], axis=1)
+        self.face_edge = pair_edge[len(cell_pairs):]
 
     def laplacian(self, weights) -> "GraphMatrix":
         """sum_e w_e (e_i - e_j)(e_i - e_j)^T for one weight per edge; the

@@ -6,7 +6,8 @@ import argparse
 import sys
 
 from . import harness
-from .mesh import compute_edge_geometry, is_delaunay, read_mesh
+from .assembly import SolverError
+from .mesh import MeshError, compute_edge_geometry, is_delaunay, read_mesh
 
 
 def _override_pairs(pairs):
@@ -91,7 +92,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (harness.ConfigError, FileNotFoundError) as exc:
+    except (harness.ConfigError, FileNotFoundError, SolverError, MeshError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

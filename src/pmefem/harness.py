@@ -19,6 +19,7 @@ from .mesh import (
     QUAD,
     TRIANGLE,
     Mesh,
+    MeshError,
     build_structured_mesh,
     compute_edge_geometry,
 )
@@ -399,7 +400,9 @@ def _record(cfg, state, step, tracked):
 def run_simulation(cfg: RunConfig):
     """March the configured scheme to the final time with uniform steps (one
     shortened final step hits T exactly).  Returns the final state and the
-    per-step records."""
+    per-step records.  A failed step raises with its step index and time: a
+    SolverError or MeshError as the same type, anything else as a
+    RuntimeError, chained to the original."""
     cfg = validate_config(cfg)
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     mesh = _build_mesh(cfg)
@@ -420,7 +423,8 @@ def run_simulation(cfg: RunConfig):
             else:
                 state = _mixed_step_with_cfl(state, dt, mx_newton, cfg.cfl_autohalve)
         except Exception as exc:
-            raise RuntimeError(f"step {step + 1} (t={state.time + dt:g}) failed: {exc}") from exc
+            kind = type(exc) if isinstance(exc, (SolverError, MeshError)) else RuntimeError
+            raise kind(f"step {step + 1} (t={state.time + dt:g}) failed: {exc}") from exc
         step += 1
         if step % cfg.cadence == 0 or cfg.T - state.time <= eps:
             records.append(_record(cfg, state, step, tracked))

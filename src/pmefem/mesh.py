@@ -348,13 +348,6 @@ def is_delaunay(geom: EdgeGeometry, strict: bool = False, tolerance: float = 1e-
     return bool(np.all(geom.omega >= -tolerance))
 
 
-def vertex_patch_volumes(mesh: Mesh) -> np.ndarray:
-    """|S_i|: total volume of the cells touching each vertex."""
-    patch = np.zeros(mesh.n_vertices)
-    np.add.at(patch, mesh.cells.ravel(), np.repeat(mesh.cell_volumes, mesh.cells.shape[1]))
-    return patch
-
-
 def write_mesh(mesh: Mesh, path) -> None:
     """Plain ASCII dump: header `dim ncells nverts kind`, vertices, cells."""
     with open(path, "w", encoding="utf-8") as f:

@@ -9,10 +9,17 @@ system for the cell densities alone:
 with u_E = |E| (mu_K1 - mu_K2) / omega_E, mu = m/(m-1) rho^{m-1}, and
 rhohat the previous density upwinded by the sign of u_E.  The sign
 dependence makes the system semismooth: Newton steps are taken with frozen
-upwind directions, and convergence requires both a small residual and
-stable upwind values.  A flux sign that flips between two cells of equal
-previous density changes no upwind value, so it does not hold convergence
-back.
+upwind directions.  Their Jacobian V + L D (V = diag|K|, L the graph
+Laplacian of the face weights dt rhat |E|^2 / w_E, D = diag(dmu/drho)) is an
+SPD matrix times a diagonal, so the shared SPD solve gives y = D delta.
+
+An update is halved only while the iteration oscillates: the residual did
+not decrease and the upwind values changed since the previous iterate; full
+steps resume as soon as they repeat, and after ``NewtonParams.max_iter``
+iterations every update is halved.  A step is accepted when the residual is
+within the tolerance under the current upwind values and, if a near-zero
+flux flipped sign on roundoff, under the previous ones too: the state then
+solves the step under either choice.
 """
 
 from __future__ import annotations
@@ -20,18 +27,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .assembly import GraphOperator, SolverError, velocity_lumped_weights
+from .assembly import spd_solve as spsolve
 from .mesh import EdgeGeometry, Mesh, MeshError, compute_edge_geometry
 
 
 @dataclass
 class NewtonParams:
     tol: float = 1e-11
-    max_iter: int = 50      # plain iterations before damping kicks in
-    max_damped: int = 50    # additional 0.5-damped iterations
+    max_iter: int = 50      # iterations before every update is halved
+    max_damped: int = 50    # additional halved iterations
 
 
 @dataclass(frozen=True)
@@ -95,15 +101,6 @@ def condense_velocity(mu, geom: EdgeGeometry, min_weight: float = 1e-12) -> np.n
     return u
 
 
-def upwind_value(rho_prev, u_face, face_index, mesh: Mesh):
-    """Density seen by a face: from the first incident cell when the flux
-    runs along the face normal (u >= 0), from the second otherwise."""
-    k1, k2 = mesh.face_cells[face_index]
-    if u_face >= 0 or k2 < 0:
-        return rho_prev[k1]
-    return rho_prev[k2]
-
-
 def init_mixed_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> MixedState:
     """Sample the pointwise initial density at cell barycenters; potential
     and flux follow from the closure and condensation."""
@@ -127,6 +124,18 @@ def _dmu(rho, m):
     return m * np.maximum(rho, 1e-12) ** (m - 2.0)
 
 
+def _newton_update(lap, dmu, vol, r):
+    """delta with (V + L D) delta = -r: y = D delta solves (V/D + L) y = -r on the
+    cells where D_k L_kk is above roundoff of |K|, the others take (-r - L y) / |K|."""
+    coupled = dmu * lap.diagonal() > 2.0**-52 * vol
+    y = np.zeros(len(vol))
+    if coupled.any():
+        y[coupled] = spsolve(lap.restrict(coupled), vol[coupled] / dmu[coupled], -r[coupled])
+    delta = (-r - lap @ y) / vol
+    delta[coupled] = y[coupled] / dmu[coupled]
+    return delta
+
+
 def step_mixed(state: MixedState, dt, newton: NewtonParams | None = None) -> MixedState:
     """Advance one implicit step.  Cell mass balances hold to the Newton
     tolerance and the total mass is conserved exactly up to it; uniform
@@ -140,22 +149,22 @@ def step_mixed(state: MixedState, dt, newton: NewtonParams | None = None) -> Mix
     n, vol = mesh.n_cells, mesh.cell_volumes
     rho_prev = state.rho
     dt = float(dt)
-    # Jacobian entries (row, column) of each face: (k1, k2), (k2, k1), (k1, k1),
-    # (k2, k2), then the diagonal mass; stored transposed, as CSC
-    p12, p21 = graph.face_pos.T
-    jac_pos = np.concatenate([p21, p12, graph.diag[k1], graph.diag[k2], graph.diag])
+
+    def balance(rho, u_int, rhat):
+        f = dt * (rhat * u_int * measure)
+        return vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
 
     rho = rho_prev.copy()
-    rhat_last = None
+    rhat_last = res_last = None
     total = newton.max_iter + newton.max_damped
     for it in range(total + 1):
         mu = potential_from_density(rho, m)
         u_int = measure * (mu[k1] - mu[k2]) / weight
         rhat = np.where(u_int >= 0, rho_prev[k1], rho_prev[k2])
-        f = dt * (rhat * u_int * measure)
-        r = vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
+        r = balance(rho, u_int, rhat)
         res = float(np.max(np.abs(r)))
-        if res <= newton.tol and (rhat_last is None or np.array_equal(rhat, rhat_last)):
+        settled = rhat_last is None or np.array_equal(rhat, rhat_last)
+        if res <= newton.tol and (settled or np.max(np.abs(balance(rho, u_int, rhat_last))) <= newton.tol):
             if it == 0:
                 return replace(state, time=state.time + dt)
             u = np.zeros(mesh.n_faces)
@@ -166,19 +175,14 @@ def step_mixed(state: MixedState, dt, newton: NewtonParams | None = None) -> Mix
 
         # Newton step with frozen upwind directions
         g = dt * rhat * measure**2 / weight
-        d1 = g * _dmu(rho[k1], m)
-        d2 = g * _dmu(rho[k2], m)
-        vals = np.concatenate([-d2, -d1, d1, d2, vol])
-        jac = sparse.csc_matrix((np.bincount(jac_pos, vals, graph.nnz), graph.indices, graph.indptr),
-                                shape=(n, n))
-        jac.eliminate_zeros()  # faces without upwind mass: zeros would only add LU fill
-        delta = spsolve(jac, -r)
+        delta = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
+                               _dmu(rho, m), vol, r)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")
-        if it >= newton.max_iter:
-            delta = 0.5 * delta  # damped fallback for oscillating sign patterns
+        if it >= newton.max_iter or (not settled and res >= res_last):
+            delta = 0.5 * delta  # halved while the upwind values oscillate, always after max_iter
         rho = rho + delta
-        rhat_last = rhat
+        rhat_last, res_last = rhat, res
     raise SolverError("unreachable")
 
 

@@ -359,7 +359,9 @@ class TestGraphOperator:
         op = init_mixed_state(m, lambda pts: np.ones(len(pts)), 2.0).graph
         pairs = m.face_cells[m.interior_faces]
         assert op.n_edges == len(pairs)
-        assert np.array_equal(op.rows[op.face_pos[:, 0]], pairs[:, 0])
-        assert np.array_equal(op.indices[op.face_pos[:, 0]], pairs[:, 1])
-        assert np.array_equal(op.rows[op.face_pos[:, 1]], pairs[:, 1])
-        assert np.array_equal(op.indices[op.face_pos[:, 1]], pairs[:, 0])
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        upper, lower = op.upper[op.face_edge], op.lower[op.face_edge]
+        assert np.array_equal(op.rows[upper], lo)
+        assert np.array_equal(op.indices[upper], hi)
+        assert np.array_equal(op.rows[lower], hi)
+        assert np.array_equal(op.indices[lower], lo)

@@ -24,7 +24,7 @@ from pmefem.harness import (
     ConvergenceRow,
     _mixed_step_with_cfl,
 )
-from pmefem.mesh import build_structured_mesh, write_mesh
+from pmefem.mesh import MeshError, build_structured_mesh, write_mesh
 from pmefem.mixed import init_mixed_state
 from pmefem.logdensity import init_log_state
 from pmefem.problems import get_problem
@@ -238,6 +238,35 @@ class TestRunSimulation:
         with pytest.raises(RuntimeError, match="step 1"):
             run_simulation(cfg)
 
+    def test_solver_and_mesh_failures_keep_their_type(self, monkeypatch):
+        cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
+                        dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
+        with pytest.raises(SolverError, match=r"step 1 \(t=1e\+08\) failed") as info:
+            run_simulation(cfg)
+        assert type(info.value.__cause__) is SolverError
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.3, counts=(30,))
+        steps = []
+        step = mx.step_mixed
+
+        def failing_step(state, dt, newton):
+            if steps:
+                raise MeshError("bad face")
+            steps.append(dt)
+            return step(state, dt, newton)
+
+        monkeypatch.setattr(mx, "step_mixed", failing_step)
+        with pytest.raises(MeshError, match=r"step 2 \(t=0.2\) failed: bad face") as info:
+            run_simulation(cfg)
+        assert type(info.value.__cause__) is MeshError
+
+    def test_other_failures_become_runtime_errors(self, monkeypatch):
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.3, counts=(30,))
+        monkeypatch.setattr(mx, "step_mixed", lambda *args: 1 / 0)
+        with pytest.raises(RuntimeError, match="step 1") as info:
+            run_simulation(cfg)
+        assert type(info.value) is RuntimeError
+        assert type(info.value.__cause__) is ZeroDivisionError
+
     def test_domain_override_2d(self, tmp_path):
         text = MINIMAL.replace("barenblatt1d", "barenblatt2d") + "domain = -4 4 -4 4\nn = 8x8\n"
         cfg = parse_config(write_cfg(tmp_path, text))
@@ -388,3 +417,16 @@ class TestCli:
         cfg = write_cfg(tmp_path, "scheme = warp\n")
         assert cli.main(["simulate", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_solver_failure_is_reported(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL + "dt = 1e8\nT = 2e8\nnewton_maxiter = 2\n")
+        assert cli.main(["simulate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: step 1")
+        assert "Traceback" not in err
+
+    def test_bad_mesh_file_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text("2 1 3 hexagon\n", encoding="utf-8")
+        assert cli.main(["mesh-info", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown cell kind 'hexagon'\n"

@@ -10,9 +10,9 @@ from pmefem.mesh import (
     is_delaunay,
     make_mesh,
     read_mesh,
-    vertex_patch_volumes,
     write_mesh,
 )
+from pmefem.assembly import lumped_mass
 
 
 def unit_square_two_triangles():
@@ -206,13 +206,20 @@ class TestDelaunay:
 
 
 class TestPatchVolumes:
+    """|S_i|, the total volume of the cells touching vertex i, is
+    (d + 1) times the lumped simplex mass."""
+
+    @staticmethod
+    def patch_volumes(mesh):
+        return lumped_mass(mesh) * (mesh.dim + 1)
+
     def test_interval_patches(self):
         m = build_structured_mesh("interval", (0, 1), 2)
-        assert vertex_patch_volumes(m) == pytest.approx([0.5, 1.0, 0.5])
+        assert self.patch_volumes(m) == pytest.approx([0.5, 1.0, 0.5])
 
     def test_square_patches(self):
         m = unit_square_two_triangles()
-        assert vertex_patch_volumes(m) == pytest.approx([1.0, 0.5, 1.0, 0.5])
+        assert self.patch_volumes(m) == pytest.approx([1.0, 0.5, 1.0, 0.5])
 
     @pytest.mark.parametrize("kind,counts", [
         ("interval", 9), ("triangle", (4, 5)), ("acute_triangle", (5, 4)),
@@ -220,7 +227,7 @@ class TestPatchVolumes:
     def test_patch_partition(self, kind, counts):
         box = (0, 2) if kind == "interval" else ((0, 2), (0, 2))
         m = build_structured_mesh(kind, box, counts)
-        total = vertex_patch_volumes(m).sum() / (m.dim + 1)
+        total = self.patch_volumes(m).sum() / (m.dim + 1)
         assert total == pytest.approx(m.volume, rel=1e-12)
 
 

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from pmefem.assembly import SolverError
+from pmefem import mixed
+from pmefem.assembly import SolverError, spd_solve, velocity_lumped_weights
+from pmefem.harness import RunConfig, run_simulation
 from pmefem.mesh import MeshError, build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import (
     MixedState,
     NewtonParams,
+    _dmu,
+    _newton_update,
     cfl_max_dt,
     condense_velocity,
     init_mixed_state,
     physical_energy,
     potential_from_density,
     step_mixed,
-    upwind_value,
 )
 from pmefem.problems import barenblatt, merging_gaussians
 
@@ -104,12 +107,20 @@ class TestCondensation:
 
 class TestUpwind:
     def test_direction(self):
+        # h = 1, w_E = 1, m = 2 and the normal points from cell 0 to cell 1:
+        # u = 2 (rho_0 - rho_1), so the step keeps rho_0 + rho_1 and solves
+        # (rho_0 - rho_1)(1 + 4 dt rhat) = rho_0^prev - rho_1^prev.  The upwind
+        # cell is cell 0 when u > 0 (along the normal) and cell 1 when u < 0
+        # (against it); either way rhat = 2, where the downwind value 1 would
+        # give another step.  With u = 0 the choice is immaterial.
         mesh = build_structured_mesh("interval", (0, 2), 2)
-        rho = np.array([1.0, 2.0])
-        interior = int(np.flatnonzero(mesh.interior_faces)[0])
-        assert upwind_value(rho, 0.5, interior, mesh) == 1.0    # along the normal
-        assert upwind_value(rho, -0.5, interior, mesh) == 2.0   # against it
-        assert upwind_value(rho, 0.0, interior, mesh) == 1.0    # immaterial: flux is 0
+        dt = 0.25
+        for rho_prev in ([2.0, 1.0], [1.0, 2.0], [1.0, 1.0]):
+            new = step_mixed(state_from_rho(mesh, rho_prev), dt)
+            diff = (rho_prev[0] - rho_prev[1]) / (1 + 4 * dt * max(rho_prev))
+            total = sum(rho_prev)
+            assert new.rho == pytest.approx([(total + diff) / 2, (total - diff) / 2], abs=1e-10)
+            assert np.sign(new.u[mesh.interior_faces]) == np.sign(rho_prev[0] - rho_prev[1])
 
 
 class TestStep:
@@ -267,6 +278,71 @@ class TestSignChatter:
         new = step_mixed(st, 0.005)
         assert new.total_mass() == pytest.approx(st.total_mass(), rel=1e-12)
         assert physical_energy(new) <= physical_energy(st)
+
+
+class TestNewtonUpdate:
+    """The update meets the unsymmetric Newton system (V + L_g D) delta = -r,
+    with V = diag|K|, L_g the Laplacian of the face weights
+    g = dt rhat |E|^2 / w_E and D = diag(dmu/drho), although only SPD systems
+    are solved."""
+
+    MESH = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (10, 10))
+
+    @staticmethod
+    def cap(pts):
+        return np.maximum(1 - ((pts[:, 0] - 0.1) ** 2 + (pts[:, 1] + 0.05) ** 2) / 0.5, 0)
+
+    def check(self, state, rho, dt=0.01):
+        mesh = state.mesh
+        interior = mesh.interior_faces
+        k1, k2 = mesh.face_cells[interior].T
+        measure = mesh.face_measures[interior]
+        mu = potential_from_density(rho, state.m)
+        rhat = np.where(mu[k1] >= mu[k2], state.rho[k1], state.rho[k2])
+        g = dt * rhat * measure**2 / velocity_lumped_weights(mesh, state.geom)[interior]
+        dmu = _dmu(rho, state.m)
+        jac = np.diag(mesh.cell_volumes)
+        for a, b, ga in zip(k1, k2, g):
+            jac[a, a] += ga * dmu[a]
+            jac[a, b] -= ga * dmu[b]
+            jac[b, a] -= ga * dmu[a]
+            jac[b, b] += ga * dmu[b]
+        r = np.random.default_rng(1).standard_normal(mesh.n_cells)
+        graph = state.graph
+        delta = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
+                               dmu, mesh.cell_volumes, r)
+        assert np.all(np.isfinite(delta))
+        assert np.linalg.norm(jac @ delta + r) <= 1e-11 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
+    def test_empty_cells(self, m):
+        st = init_mixed_state(self.MESH, self.cap, m)
+        empty = st.rho == 0
+        assert 0 < empty.sum() < self.MESH.n_cells
+        rho = st.rho * np.random.default_rng(0).uniform(0.5, 1.5, self.MESH.n_cells)
+        self.check(st, rho)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0])
+    def test_subnormal_cells(self, m):
+        st = init_mixed_state(self.MESH, self.cap, m)
+        rho = st.rho.copy()
+        rho[st.rho == 0] = 1e-310
+        rho[::7] = 5e-324
+        self.check(st, rho)
+
+    def test_all_cells_decoupled(self, monkeypatch):
+        # subnormal densities everywhere: D L_g is below roundoff of V in
+        # every column although the face weights are not zero
+        monkeypatch.setattr(mixed, "spsolve", lambda *args: pytest.fail("no cell is coupled"))
+        st = init_mixed_state(self.MESH, self.cap, 3.0)
+        self.check(st, np.full(self.MESH.n_cells, 1e-310))
+
+    def test_horseshoe_first_step_iterations(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(mixed, "spsolve", lambda *args: solves.append(1) or spd_solve(*args))
+        run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=1e-3,
+                                 counts=(40, 40)))
+        assert 0 < len(solves) <= 12
 
 
 class TestFailureModes:
