@@ -8,6 +8,8 @@ SPD solve on the shared graph operator.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
@@ -110,12 +112,22 @@ class GraphMatrix:
                            rows, np.searchsorted(keep, self.diag[mask]), self.data[keep])
 
 
-def vertex_graph(mesh: Mesh) -> GraphOperator:
+class VertexGraph(GraphOperator):
     """Vertex graph of the log-density stiffness: cell-local pairs, and as
-    face pairs the edges of the edge-based operator (none on quads)."""
-    iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
-    cell_pairs = np.stack([mesh.cells[:, iu], mesh.cells[:, ju]], axis=-1)
-    return GraphOperator(mesh.n_vertices, cell_pairs, () if mesh.cell_kind == QUAD else _edge_pairs(mesh))
+    face pairs the edges of the edge-based operator (none on quads).
+    ``cell_stiffness`` holds the constant element stiffness entries of the
+    cell-local pairs, computed once on first use."""
+
+    def __init__(self, mesh: Mesh):
+        iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
+        cell_pairs = np.stack([mesh.cells[:, iu], mesh.cells[:, ju]], axis=-1)
+        super().__init__(mesh.n_vertices, cell_pairs, () if mesh.cell_kind == QUAD else _edge_pairs(mesh))
+        self.mesh = mesh
+
+    @cached_property
+    def cell_stiffness(self):
+        iu, ju = np.triu_indices(self.mesh.cells.shape[1], 1)
+        return element_stiffness(self.mesh)[:, iu, ju]
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -154,14 +166,14 @@ def _edge_pairs(mesh: Mesh):
 
 
 def stiffness_edge_based(mesh: Mesh, geom: EdgeGeometry, u_prev, m, active=None,
-                         graph: GraphOperator | None = None) -> GraphMatrix:
+                         graph: VertexGraph | None = None) -> GraphMatrix:
     """Edge-based diffusion operator sum_E omega_E * gamma_E * (e_i - e_j)(e_i - e_j)^T
     with gamma_E the harmonic coefficient average, omega_E the aggregated
     cotangent weight in 2D and 1/h in 1D.  Edges with an inactive endpoint
     get weight zero (their harmonic average vanishes)."""
     if mesh.cell_kind == QUAD:
         raise ValueError("edge-based stiffness is simplex-specific; quads unsupported")
-    graph = graph or vertex_graph(mesh)
+    graph = graph or VertexGraph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
     pairs = _edge_pairs(mesh)
     vi, vj = pairs[:, 0], pairs[:, 1]
@@ -200,18 +212,17 @@ def element_stiffness(mesh: Mesh) -> np.ndarray:
 
 
 def stiffness_vertex_quadrature(mesh: Mesh, u_prev, m, active=None,
-                                graph: GraphOperator | None = None) -> GraphMatrix:
+                                graph: VertexGraph | None = None) -> GraphMatrix:
     """Stiffness with the coefficient m*exp(m*u_prev) averaged over each
     cell's vertices (nodal quadrature), times the exact constant-coefficient
     element stiffness.  Inactive vertices contribute zero coefficient."""
-    graph = graph or vertex_graph(mesh)
+    graph = graph or VertexGraph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
     gamma = m * np.exp(m * u_prev)
     if active is not None:
         gamma = np.where(np.asarray(active, dtype=bool), gamma, 0.0)
     coeff = gamma[mesh.cells].mean(axis=1)
-    iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
-    off = element_stiffness(mesh)[:, iu, ju] * coeff[:, None]
+    off = graph.cell_stiffness * coeff[:, None]
     return graph.laplacian(-np.bincount(graph.cell_edge, off.ravel(), graph.n_edges))
 
 

@@ -372,7 +372,9 @@ def _init_state(cfg: RunConfig, problem: ProblemSpec, mesh: Mesh):
     return mx.init_mixed_state(mesh, problem.rho0, cfg.m, geom=geom)
 
 
-def _record(cfg, state, step, tracked):
+def _record(cfg, state, step, tracked, cfl_bound=None):
+    """One time-series record; a mixed state takes the CFL bound its step
+    computed."""
     if cfg.scheme == "logdensity":
         lo, hi = ld.bounds(state) if state.active.any() else (0.0, 0.0)
         return TimeSeriesRecord(
@@ -384,7 +386,6 @@ def _record(cfg, state, step, tracked):
             max_density=hi,
             tracked_density=None if tracked is None else float(state.density()[tracked]),
         )
-    per_cell, bound = mx.cfl_max_dt(state)
     return TimeSeriesRecord(
         step=step,
         time=state.time,
@@ -393,7 +394,7 @@ def _record(cfg, state, step, tracked):
         min_density=float(state.rho.min()),
         max_density=float(state.rho.max()),
         tracked_density=None if tracked is None else float(state.rho[tracked]),
-        cfl_bound=bound,
+        cfl_bound=cfl_bound,
     )
 
 
@@ -415,27 +416,28 @@ def run_simulation(cfg: RunConfig):
     records = []
     eps = 1e-12 * max(cfg.T, 1.0)
     step = 0
+    bound = None
     while cfg.T - state.time > eps:
         dt = min(cfg.dt, cfg.T - state.time)
         try:
             if cfg.scheme == "logdensity":
                 state = ld.step_logdensity(state, dt, cfg.variant, ld_newton)
             else:
-                state = _mixed_step_with_cfl(state, dt, mx_newton, cfg.cfl_autohalve)
+                state, bound = _mixed_step_with_cfl(state, dt, mx_newton, cfg.cfl_autohalve)
         except Exception as exc:
             kind = type(exc) if isinstance(exc, (SolverError, MeshError)) else RuntimeError
             raise kind(f"step {step + 1} (t={state.time + dt:g}) failed: {exc}") from exc
         step += 1
         if step % cfg.cadence == 0 or cfg.T - state.time <= eps:
-            records.append(_record(cfg, state, step, tracked))
+            records.append(_record(cfg, state, step, tracked, bound))
     return state, records
 
 
 def _mixed_step_with_cfl(state, dt, newton, autohalve):
     """Take a mixed step and check dt against the post hoc CFL bound from the
-    new flux.  A violation is logged as a warning; with autohalve the step is
-    redone at dt/2 instead, and SolverError is raised when 20 halvings do
-    not meet the bound."""
+    new flux; returns the new state and that bound.  A violation is logged
+    as a warning; with autohalve the step is redone at dt/2 instead, and
+    SolverError is raised when 20 halvings do not meet the bound."""
     new = mx.step_mixed(state, dt, newton)
     halvings = 0
     while dt > (bound := mx.cfl_max_dt(new)[1]):
@@ -447,7 +449,7 @@ def _mixed_step_with_cfl(state, dt, newton, autohalve):
             raise SolverError(f"CFL bound {bound:.3e} still below dt={dt:.3e} after 20 halvings")
         dt, halvings = 0.5 * dt, halvings + 1
         new = mx.step_mixed(state, dt, newton)
-    return new
+    return new, bound
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import (
-    GraphOperator,
     SolverError,
+    VertexGraph,
     lumped_mass,
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
-    vertex_graph,
 )
 from .mesh import EdgeGeometry, Mesh, compute_edge_geometry
 
@@ -36,6 +35,9 @@ VARIANTS = ("vertex", "edge")
 
 #: backtracking halvings allowed in one Newton line search
 LINE_SEARCH_HALVINGS = 50
+
+#: Newton steps of ``row_solution``: enough for roundoff at every L in float range
+ROW_NEWTON_STEPS = 6
 
 
 @dataclass
@@ -58,11 +60,11 @@ class LogDensityState:
     time: float = 0.0
     cutoff: float = 1e-14
     lumped: np.ndarray = field(default=None, repr=False)
-    graph: GraphOperator = field(default=None, repr=False)
+    graph: VertexGraph = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.graph is None:
-            object.__setattr__(self, "graph", vertex_graph(self.mesh))
+            object.__setattr__(self, "graph", VertexGraph(self.mesh))
 
     def density(self) -> np.ndarray:
         return np.where(self.active, np.exp(self.u), 0.0)
@@ -136,9 +138,28 @@ class StepSystem:
         return float(self.M @ dens - uz @ self.b + 0.5 * self.dt * self.A.quad_form(uz))
 
 
+def row_solution(M, a, c):
+    """Solution v of M e^v + a v = c for M, a > 0, elementwise.
+
+    v = c/a - W((M/a) e^{c/a}) with W the Lambert function, evaluated as
+    v = log W - log(M/a), which is free of cancellation when c/a is large.
+    t = log W solves e^t + t = L with L = log(M/a) + c/a; Newton on this
+    convex increasing function from a start to the right of the root
+    decreases monotonically and quadratically to it."""
+    log_ratio = np.log(M) - np.log(a)
+    L = log_ratio + c / a
+    t = np.where(L > 1.0, np.log(np.maximum(L, 1.0)), L)
+    for _ in range(ROW_NEWTON_STEPS):
+        e = np.exp(t)
+        t = t - (e + t - L) / (e + 1.0)
+    return t - log_ratio
+
+
 def newton_update(system: StepSystem, u, active):
-    """One Newton iteration with activation bookkeeping and a backtracking
-    line search on the step functional.  Returns (u_next, active_next)."""
+    """One Newton iteration with activation bookkeeping, a row predictor for
+    the vertices the linear solve lifts by more than one log-unit, and a
+    backtracking line search on the step functional.  Returns
+    (u_next, active_next)."""
     u = np.asarray(u, dtype=float)
     active = np.asarray(active, dtype=bool)
     act = system.activation_mask(u, active)
@@ -147,9 +168,20 @@ def newton_update(system: StepSystem, u, active):
     fresh = act & ~active
 
     dens = np.where(active, np.exp(u), 0.0)
+    uz = np.where(active, u, 0.0)
     shift = (system.M * dens)[act]
-    rhs = (system.M * (dens * np.where(active, u, 0.0) - dens + system.exp_prev))[act]
+    rhs = (system.M * (dens * uz - dens + system.exp_prev))[act]
     x = spd_solve(system.dtA.restrict(act), shift, rhs)
+    # a vertex lifted by more than one log-unit (every fresh vertex) would
+    # come back down by only one per iteration on M exp(u): put it at the
+    # exact solution of its own row M e^v + a v = c, with the neighbours at
+    # x and c read off the solved linear row, where that lies lower
+    a = system.diag[act]
+    up = (x - np.where(active, u, -np.inf)[act] > 1.0) & (a > 0)  # the closed form needs a > 0
+    if up.any():
+        idx = np.flatnonzero(act)[up]
+        c = system.M[idx] * dens[idx] * (x[up] - uz[idx] + 1.0) + a[up] * x[up]
+        x[up] = np.minimum(x[up], row_solution(system.M[idx], a[up], c))
 
     u_full = np.full_like(u, LOG_FLOOR)
     u_full[act] = x

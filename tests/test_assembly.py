@@ -9,13 +9,13 @@ from pmefem.assembly import (
     GraphMatrix,
     GraphOperator,
     SolverError,
+    VertexGraph,
     harmonic_edge_average,
     lumped_mass,
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
     velocity_lumped_weights,
-    vertex_graph,
 )
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import init_mixed_state
@@ -186,6 +186,24 @@ class TestStiffness:
             A1 = stiffness_vertex_quadrature(m, u + c, mexp).toarray()
         assert np.allclose(A1, np.exp(mexp * c) * A0, rtol=1e-10, atol=1e-14)
 
+    @pytest.mark.parametrize("name", ["interval", "acute", "quad"])
+    def test_vertex_graph_caches_element_stiffness(self, monkeypatch, name):
+        m = MESHES[name]()
+        rng = np.random.default_rng(4)
+        u, active = rng.normal(size=m.n_vertices), rng.uniform(size=m.n_vertices) < 0.8
+        iu, ju = np.triu_indices(m.cells.shape[1], 1)
+        gamma = np.where(active, 2.0 * np.exp(2.0 * u), 0.0)
+        off = assembly.element_stiffness(m)[:, iu, ju] * gamma[m.cells].mean(axis=1)[:, None]
+        graph = VertexGraph(m)
+        expected = graph.laplacian(-np.bincount(graph.cell_edge, off.ravel(), graph.n_edges)).data
+        calls = []
+        real = assembly.element_stiffness
+        monkeypatch.setattr(assembly, "element_stiffness", lambda mesh: calls.append(1) or real(mesh))
+        for _ in range(3):
+            A = stiffness_vertex_quadrature(m, u, 2.0, active, graph)
+            assert np.array_equal(A.data, expected)  # bitwise: same products, same order
+        assert len(calls) == 1
+
     def test_inactive_endpoints_drop_edges(self):
         m = build_structured_mesh("interval", (0, 1), 3)
         geom = compute_edge_geometry(m)
@@ -348,7 +366,7 @@ class TestGraphOperator:
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (4, 4))
         active = np.ones(m.n_vertices, bool)
         active[::3] = False
-        graph = vertex_graph(m)
+        graph = VertexGraph(m)
         A = stiffness_edge_based(m, compute_edge_geometry(m), np.zeros(m.n_vertices), 2.0, active, graph)
         assert A.data.size == graph.nnz
         arr = A.toarray()

@@ -285,8 +285,8 @@ class TestCflGuard:
         with caplog.at_level(logging.WARNING, logger="pmefem.harness"):
             _mixed_step_with_cfl(st, 1e-3, mx.NewtonParams(), autohalve=False)
             assert not caplog.records
-            new = _mixed_step_with_cfl(st, 0.5, mx.NewtonParams(), autohalve=False)
-        assert mx.cfl_max_dt(new)[1] < 0.5
+            new, bound = _mixed_step_with_cfl(st, 0.5, mx.NewtonParams(), autohalve=False)
+        assert bound == mx.cfl_max_dt(new)[1] < 0.5
         assert len(caplog.records) == 1
         assert "exceeds the post hoc CFL bound" in caplog.text
 
@@ -299,6 +299,16 @@ class TestCflGuard:
         with pytest.raises(SolverError, match="20 halvings"):
             _mixed_step_with_cfl(st, 0.01, mx.NewtonParams(), autohalve=True)
         assert steps == [0.01 / 2**k for k in range(21)]
+
+    def test_bound_computed_once_per_step(self, monkeypatch):
+        states = []
+        cfl = mx.cfl_max_dt
+        monkeypatch.setattr(mx, "cfl_max_dt", lambda state: states.append(state) or cfl(state))
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.05, T=0.2, counts=(50,))
+        final, records = run_simulation(cfg)
+        assert len(states) == len(records) == 4
+        assert states[-1] is final
+        assert [r.cfl_bound for r in records] == [cfl(state)[1] for state in states]
 
 
 class TestDeterminism:

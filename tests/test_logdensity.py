@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
-from pmefem.assembly import SolverError, lumped_mass
+from pmefem import logdensity
+from pmefem.assembly import SolverError, lumped_mass, spd_solve
+from pmefem.harness import RunConfig, run_simulation
 from pmefem.logdensity import (
     LogDensityState,
     NewtonParams,
@@ -13,10 +16,11 @@ from pmefem.logdensity import (
     entropy_energy,
     init_log_state,
     newton_update,
+    row_solution,
     step_logdensity,
 )
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry
-from pmefem.problems import barenblatt
+from pmefem.problems import barenblatt, get_problem
 
 
 def make_state(mesh, u, active=None, m=2.0, cutoff=1e-14):
@@ -118,6 +122,70 @@ class TestNewton:
             u, act = newton_update(system, u, act)
             values.append(system.functional(u, act))
         assert all(b <= a + 1e-12 * max(1, abs(a)) for a, b in zip(values, values[1:]))
+
+
+class TestRowPredictor:
+    def test_row_solution_to_roundoff(self):
+        M = np.array([1e-3, 1e-3, 2.0, 0.5, 1e-4, 3.0, 1e-2, 1.0])
+        a = np.array([1e-3, 1e-12, 2.0, 1e-300, 1e-4, 1e-9, 5e-8, 1e3])
+        c = np.array([0.0, -3e-11, 40.0, 7.0, -1e-2, 1e-9, -2e-6, -5e5])
+        v = row_solution(M, a, c)
+        # roundoff of v is relative to the logarithms it is computed from
+        dv = 4 * np.finfo(float).eps * (1 + np.abs(v) + np.abs(np.log(M / a)))
+        assert np.all(np.abs(M * np.exp(v) + a * v - c) <= (M * np.exp(v) + a) * dv + 1e-15 * np.abs(c))
+        with np.errstate(over="ignore"):
+            w = lambertw(M / a * np.exp(c / a)).real  # the closed form where it does not overflow
+        ok = np.isfinite(w)
+        assert ok.sum() >= 4
+        assert v[ok] == pytest.approx((c / a - w)[ok], rel=1e-13, abs=1e-13)
+
+    def test_acts_only_on_overshoot_and_only_lowers(self, monkeypatch):
+        mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16))
+        st = init_log_state(mesh, get_problem("horseshoe", 3.0).rho0, 3.0)
+        system = StepSystem(st, 1e-3, "vertex")
+        solved = []
+        monkeypatch.setattr(logdensity, "spd_solve", lambda *args: solved.append(spd_solve(*args)) or solved[-1].copy())
+        u, act = newton_update(system, st.u, st.active)
+        assert (act & ~st.active).any()  # fresh vertices: the full step is taken
+        x = solved[0]
+        up = x - np.where(st.active, st.u, -np.inf)[act] > 1.0
+        moved = u[act] != x
+        assert moved.any() and up.any()
+        assert not np.any(moved & ~up)
+        assert np.all(u[act] <= x)
+        # a moved vertex solves its own row M e^v + a v = c, with c read off
+        # the solved linear row, to roundoff
+        i, v = np.flatnonzero(act)[moved], u[act][moved]
+        M, a, dens = system.M[i], system.diag[i], st.density()[i]
+        c = M * dens * (x[moved] - np.where(st.active, st.u, 0.0)[i] + 1.0) + a * x[moved]
+        assert np.all(np.abs(M * np.exp(v) + a * v - c) <= 1e-13 * (M * np.exp(v) + np.abs(a * v) + np.abs(c)))
+        # that c is the nonlinear row's b - (off-diagonal part of dtA) x, to
+        # the linear solve's residual bound
+        xz = np.zeros(mesh.n_vertices)
+        xz[act] = x
+        off = system.dtA @ xz - system.diag * xz
+        rhs_norm = np.linalg.norm((system.M * (st.density() * np.where(st.active, st.u, 0.0)
+                                               - st.density()) + system.b)[act])
+        assert np.abs(c - (system.b[i] - off[i])).max() <= 2e-12 * rhs_norm
+
+    def test_horseshoe_iterations_per_step(self, monkeypatch):
+        per_step = []
+        step, update = logdensity.step_logdensity, logdensity.newton_update
+
+        def counted_step(*args, **kwargs):
+            per_step.append(0)
+            return step(*args, **kwargs)
+
+        def counted_update(*args):
+            per_step[-1] += 1
+            return update(*args)
+
+        monkeypatch.setattr(logdensity, "step_logdensity", counted_step)
+        monkeypatch.setattr(logdensity, "newton_update", counted_update)
+        run_simulation(RunConfig(scheme="logdensity", problem="horseshoe", m=3.0, dt=1e-3, T=0.02,
+                                 counts=(40, 40), variant="vertex"))
+        assert len(per_step) == 20
+        assert max(per_step) <= 6  # 12-23 per step without the row predictor
 
 
 class TestConservationAndDissipation:

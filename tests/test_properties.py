@@ -1,8 +1,8 @@
-"""Property tests: one step of the edge-variant log-density scheme and of
-the mixed scheme keeps mass, does not raise the energy and stays positive,
-for m in (1, 4] (the mixed scheme from m = 1.0001, see below) and compactly
-supported data.  Examples are derandomized, so every run checks the same
-ones."""
+"""Property tests: one step of either log-density variant and of the mixed
+scheme keeps mass, does not raise the energy and stays positive, for m in
+(1, 4] (the mixed scheme from m = 1.0001, see below) and compactly
+supported data; the log-density support does not shrink.  Examples are
+derandomized, so every run checks the same ones."""
 
 import numpy as np
 import pytest
@@ -34,13 +34,24 @@ def cap(cx, cy, radius):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=exponents, cx=centers, cy=centers, radius=radii, dt=steps)
 def test_logdensity_edge_step(m, cx, cy, radius, dt):
+    check_logdensity_step("edge", m, cx, cy, radius, dt)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=exponents, cx=centers, cy=centers, radius=radii, dt=steps)
+def test_logdensity_vertex_step(m, cx, cy, radius, dt):
+    check_logdensity_step("vertex", m, cx, cy, radius, dt)
+
+
+def check_logdensity_step(variant, m, cx, cy, radius, dt):
     state = ld.init_log_state(MESH, cap(cx, cy, radius), m)
-    new = ld.step_logdensity(state, dt, variant="edge")
+    new = ld.step_logdensity(state, dt, variant=variant)
     # mass is kept to the Newton tolerance: where Newton converges linearly
     # (densities far below their final value) the defect reaches ~1e-11
     assert new.total_mass() == pytest.approx(state.total_mass(), rel=1e-10)
     energy = ld.entropy_energy(state)
     assert ld.entropy_energy(new) <= energy + 1e-12 * abs(energy)
+    assert not np.any(state.active & ~new.active)  # the support never shrinks
     dens = new.density()
     assert np.all(np.isfinite(dens))
     assert np.all(dens[new.active] > 0)
@@ -62,7 +73,8 @@ def test_mixed_step_roundoff_sign_flip():
 def check_mixed_step(m, cx, cy, radius, dt):
     state = mx.init_mixed_state(MESH, cap(cx, cy, radius), m)
     # halving until the post hoc CFL bound holds is what guarantees positivity
-    new = harness._mixed_step_with_cfl(state, dt, mx.NewtonParams(), autohalve=True)
+    new, bound = harness._mixed_step_with_cfl(state, dt, mx.NewtonParams(), autohalve=True)
+    assert bound == mx.cfl_max_dt(new)[1]
     assert new.total_mass() == pytest.approx(state.total_mass(), rel=1e-12)
     energy = mx.physical_energy(state)
     assert mx.physical_energy(new) <= energy + 1e-12 * energy
