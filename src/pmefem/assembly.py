@@ -21,6 +21,10 @@ class SolverError(RuntimeError):
     """Linear or nonlinear solve failed."""
 
 
+#: Newton residual tolerance of both schemes (inf-norm, in mass units)
+NEWTON_TOL = 1e-11
+
+
 class GraphOperator:
     """Fixed CSR pattern of a weighted graph Laplacian plus a diagonal, built
     once per mesh on vertices (log-density) or cells (mixed) and carried on
@@ -86,12 +90,6 @@ class GraphMatrix:
         """x . A x"""
         return float(x @ (self @ x))
 
-    def row_sums(self):
-        return np.bincount(self.rows, self.data, self.n)
-
-    def toarray(self):
-        return self.tocsr().toarray()
-
     def scaled(self, factor):
         return self.with_data(self.data * factor)
 
@@ -138,7 +136,11 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     return np.bincount(mesh.cells.ravel(), weights, mesh.n_vertices)
 
 
-def harmonic_edge_average(u_i, u_j, m, branch_eps=1e-10):
+#: |u_i - u_j| below which the harmonic average takes its midpoint value
+HARMONIC_BRANCH_EPS = 1e-10
+
+
+def harmonic_edge_average(u_i, u_j, m):
     """Harmonic average of the coefficient m*exp(m*u) along an edge on which
     u varies linearly between u_i and u_j.
 
@@ -146,13 +148,13 @@ def harmonic_edge_average(u_i, u_j, m, branch_eps=1e-10):
         m * exp(m*(u_i+u_j)/2) * z / sinh(z),   z = m*(u_j-u_i)/2,
     which equals m^2 (u_j-u_i) / (exp(-m u_i) - exp(-m u_j)) exactly and
     falls back to the midpoint value m*exp(m*(u_i+u_j)/2) for |u_i-u_j|
-    below branch_eps.
+    below HARMONIC_BRANCH_EPS.
     """
     ui = np.asarray(u_i, dtype=float)
     uj = np.asarray(u_j, dtype=float)
     mid = np.exp(0.5 * m * (ui + uj)) * m
     z = 0.5 * m * (uj - ui)
-    small = np.abs(uj - ui) <= branch_eps
+    small = np.abs(uj - ui) <= HARMONIC_BRANCH_EPS
     zsafe = np.where(small, 1.0, z)
     ratio = np.where(small, 1.0, zsafe / np.sinh(zsafe))
     out = mid * ratio

@@ -31,8 +31,7 @@ def _cmd_simulate(args):
               f"min={last.min_density:.6g} max={last.max_density:.6g}")
     if cfg.output:
         harness.write_timeseries_csv(records, cfg.output + "_timeseries.csv")
-        harness.write_vtk(state, cfg.output + "_final.vtk",
-                          title=f"{cfg.scheme} {cfg.problem}", u_floor=cfg.u_floor)
+        harness.write_vtk(state, cfg.output + "_final.vtk", title=f"{cfg.scheme} {cfg.problem}")
         print(f"wrote {cfg.output}_timeseries.csv and {cfg.output}_final.vtk")
     return 0
 

@@ -45,16 +45,12 @@ class RunConfig:
     counts: tuple = ()
     domain: tuple = ()
     variant: str = "vertex"          # log-density stiffness variant
-    newton_tol: float = 1e-11
     newton_maxiter: int = 50
-    cutoff: float = 1e-14
     cfl_autohalve: bool = False      # mixed only
     s0: Optional[float] = None
     theta: float = 0.0
     levels: int = 4
     cadence: int = 1
-    quad_degree: int = 4
-    u_floor: float = ld.LOG_FLOOR
     output: str = ""
 
 
@@ -111,16 +107,12 @@ _KEY_PARSERS = {
     "n": _parse_counts,
     "domain": _parse_domain,
     "variant": str,
-    "newton_tol": float,
     "newton_maxiter": int,
-    "cutoff": float,
     "cfl_autohalve": lambda s: _BOOL[s.lower()],
     "s0": float,
     "theta": float,
     "levels": int,
     "cadence": int,
-    "quad_degree": int,
-    "u_floor": float,
     "output": str,
 }
 
@@ -158,6 +150,10 @@ def config_from_strings(raw: dict) -> RunConfig:
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    if values["scheme"] == "mixed" and "variant" in values:
+        raise ConfigError("'variant' applies to the log-density scheme only")
+    if values["scheme"] == "logdensity" and "cfl_autohalve" in values:
+        raise ConfigError("'cfl_autohalve' applies to the mixed scheme only")
 
     cfg = RunConfig(
         scheme=values.pop("scheme"),
@@ -167,14 +163,12 @@ def config_from_strings(raw: dict) -> RunConfig:
         T=values.pop("T"),
     )
     rename = {"mesh": "mesh_kind", "n": "counts"}
-    explicit_variant = "variant" in values
-    explicit_autohalve = "cfl_autohalve" in values
     for key, val in values.items():
         setattr(cfg, rename.get(key, key), val)
-    return validate_config(cfg, explicit_variant, explicit_autohalve)
+    return validate_config(cfg)
 
 
-def validate_config(cfg: RunConfig, explicit_variant=False, explicit_autohalve=False) -> RunConfig:
+def validate_config(cfg: RunConfig) -> RunConfig:
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
     if cfg.problem not in PROBLEM_NAMES:
@@ -187,10 +181,6 @@ def validate_config(cfg: RunConfig, explicit_variant=False, explicit_autohalve=F
         raise ConfigError("final time must be at least dt")
     if cfg.variant not in ld.VARIANTS:
         raise ConfigError(f"unknown stiffness variant {cfg.variant!r}")
-    if cfg.scheme == "mixed" and explicit_variant:
-        raise ConfigError("'variant' applies to the log-density scheme only")
-    if cfg.scheme == "logdensity" and explicit_autohalve:
-        raise ConfigError("'cfl_autohalve' applies to the mixed scheme only")
     if cfg.cadence < 1 or cfg.levels < 1:
         raise ConfigError("cadence and levels must be >= 1")
 
@@ -218,47 +208,29 @@ def validate_config(cfg: RunConfig, explicit_variant=False, explicit_autohalve=F
 # ---------------------------------------------------------------------------
 # region-restricted L2 errors
 
-_TRI_A1, _TRI_W1 = 0.445948490915965, 0.223381589678011
-_TRI_A2, _TRI_W2 = 0.091576213509771, 0.109951743655322
+def _quadrature_tables():
+    """Reference rules, one per cell kind: the basis values phi (q, k) at the
+    quadrature points and weights w (q,) that sum to 1.  A cell's points are
+    phi @ (its vertices) and its weights |K| w.  Gauss-Legendre with 3
+    points per axis on intervals and axis-aligned quads (nodes CCW from the
+    lower-left corner), the 6-point degree-4 rule on triangles."""
+    s = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
+    w = np.array([5.0, 8.0, 5.0]) / 18.0
+    S, T = (a.ravel() for a in np.meshgrid(s, s, indexing="ij"))
+    bilinear = np.column_stack([(1 - S) * (1 - T), S * (1 - T), S * T, (1 - S) * T])
+    tri = []
+    for a, wt in ((0.445948490915965, 0.223381589678011), (0.091576213509771, 0.109951743655322)):
+        b = 1.0 - 2.0 * a
+        tri += [(a, a, b, wt), (a, b, a, wt), (b, a, a, wt)]
+    tri = np.array(tri)
+    return {
+        INTERVAL: (np.column_stack([1 - s, s]), w),
+        QUAD: (bilinear, np.outer(w, w).ravel()),
+        TRIANGLE: (tri[:, :3], tri[:, 3]),
+    }
 
 
-def _cell_quadrature(mesh: Mesh, degree: int):
-    """Quadrature points (ncells, q, dim) and weights (ncells, q) integrating
-    polynomials of the requested degree on every cell."""
-    pts = mesh.vertices[mesh.cells]
-    if mesh.cell_kind == TRIANGLE:
-        if degree > 4:
-            raise ValueError("triangle quadrature supports degree <= 4")
-        bary = []
-        for a, w in ((_TRI_A1, _TRI_W1), (_TRI_A2, _TRI_W2)):
-            b = 1.0 - 2.0 * a
-            bary += [((a, a, b), w), ((a, b, a), w), ((b, a, a), w)]
-        lam = np.array([b for b, _ in bary])
-        w = np.array([wt for _, wt in bary])
-        qp = np.einsum("qk,ckd->cqd", lam, pts)
-        qw = np.multiply.outer(mesh.cell_volumes, w)
-        return qp, qw
-    npts = max(2, (degree + 2) // 2)
-    gx, gw = np.polynomial.legendre.leggauss(npts)
-    if mesh.cell_kind == INTERVAL:
-        mid = 0.5 * (pts[:, 0, 0] + pts[:, 1, 0])
-        half = 0.5 * (pts[:, 1, 0] - pts[:, 0, 0])
-        qp = (mid[:, None] + np.multiply.outer(half, gx))[:, :, None]
-        qw = np.multiply.outer(half, gw)
-        return qp, qw
-    # tensor rule on axis-aligned quads
-    X, Y = np.meshgrid(gx, gx, indexing="ij")
-    WX, WY = np.meshgrid(gw, gw, indexing="ij")
-    xr, yr, wr = X.ravel(), Y.ravel(), (WX * WY).ravel()
-    midx = 0.5 * (pts[:, 0, 0] + pts[:, 1, 0])
-    halfx = 0.5 * (pts[:, 1, 0] - pts[:, 0, 0])
-    midy = 0.5 * (pts[:, 0, 1] + pts[:, 3, 1])
-    halfy = 0.5 * (pts[:, 3, 1] - pts[:, 0, 1])
-    qx = midx[:, None] + np.multiply.outer(halfx, xr)
-    qy = midy[:, None] + np.multiply.outer(halfy, yr)
-    qp = np.stack([qx, qy], axis=-1)
-    qw = np.multiply.outer(halfx * halfy, wr)
-    return qp, qw
+_QUADRATURE = _quadrature_tables()
 
 
 def _region_mask(mesh: Mesh, region):
@@ -275,57 +247,26 @@ def _region_mask(mesh: Mesh, region):
     return mask
 
 
-def _density_at_quadrature(state, qp):
-    """Discrete density at quadrature points, (ncells, q)."""
-    mesh = state.mesh
-    if isinstance(state, mx.MixedState):
-        return np.broadcast_to(state.rho[:, None], qp.shape[:2]).copy()
-    # log-density: interpolate u linearly, exponentiate; cells touching an
-    # inactive vertex are zero in the exp(-inf) limit
-    cells = mesh.cells
-    pts = mesh.vertices[cells]
-    full = state.active[cells].all(axis=1)
-    dens = np.zeros(qp.shape[:2])
-    if not full.any():
-        return dens
-    uc = state.u[cells[full]]
-    if mesh.cell_kind == TRIANGLE:
-        p0 = pts[full, 0]
-        T = np.stack([pts[full, 1] - p0, pts[full, 2] - p0], axis=-1)
-        Ti = np.linalg.inv(T)
-        loc = np.einsum("cde,cqe->cqd", Ti, qp[full] - p0[:, None, :])
-        lam = np.concatenate([1.0 - loc.sum(axis=-1, keepdims=True), loc], axis=-1)
-        uq = np.einsum("cqk,ck->cq", lam, uc)
-    elif mesh.cell_kind == INTERVAL:
-        x0 = pts[full, 0, 0][:, None]
-        x1 = pts[full, 1, 0][:, None]
-        s = (qp[full, :, 0] - x0) / (x1 - x0)
-        uq = uc[:, [0]] * (1 - s) + uc[:, [1]] * s
-    else:  # bilinear on axis-aligned quads
-        x0 = pts[full, 0, 0][:, None]
-        x1 = pts[full, 1, 0][:, None]
-        y0 = pts[full, 0, 1][:, None]
-        y1 = pts[full, 3, 1][:, None]
-        s = (qp[full, :, 0] - x0) / (x1 - x0)
-        t = (qp[full, :, 1] - y0) / (y1 - y0)
-        uq = (uc[:, [0]] * (1 - s) * (1 - t) + uc[:, [1]] * s * (1 - t)
-              + uc[:, [2]] * s * t + uc[:, [3]] * (1 - s) * t)
-    dens[full] = np.exp(uq)
-    return dens
-
-
-def l2_error(state, exact, region, degree: int = 4) -> float:
+def l2_error(state, exact, region) -> float:
     """L2 distance between the discrete density and ``exact`` over the cells
-    whose barycenter lies in the closed box ``region``."""
+    whose barycenter lies in the closed box ``region``.  The log-density is
+    interpolated in u and exponentiated; cells touching an inactive vertex
+    are zero in the exp(-inf) limit."""
     mesh = state.mesh
     mask = _region_mask(mesh, region)
     if not mask.any():
         raise ValueError("empty region")
-    qp, qw = _cell_quadrature(mesh, degree)
-    vals = _density_at_quadrature(state, qp)
-    flat = qp[mask].reshape(-1, mesh.dim)
-    ex = np.asarray(exact(flat), dtype=float).reshape(vals[mask].shape)
-    return float(np.sqrt(np.sum(qw[mask] * (vals[mask] - ex) ** 2)))
+    phi, w = _QUADRATURE[mesh.cell_kind]
+    cells = mesh.cells[mask]
+    points = phi @ mesh.vertices[cells]
+    if isinstance(state, mx.MixedState):
+        vals = state.rho[mask, None]
+    else:
+        full = state.active[cells].all(axis=1)
+        vals = np.zeros((len(cells), len(w)))
+        vals[full] = np.exp(state.u[cells[full]] @ phi.T)
+    ex = np.asarray(exact(points.reshape(-1, mesh.dim)), dtype=float).reshape(len(cells), len(w))
+    return float(np.sqrt(np.sum(mesh.cell_volumes[mask, None] * w * (vals - ex) ** 2)))
 
 
 def convergence_order(errors, ratio: float = 2.0):
@@ -368,7 +309,7 @@ def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
 def _init_state(cfg: RunConfig, problem: ProblemSpec, mesh: Mesh):
     geom = compute_edge_geometry(mesh)
     if cfg.scheme == "logdensity":
-        return ld.init_log_state(mesh, problem.rho0, cfg.m, geom=geom, cutoff=cfg.cutoff)
+        return ld.init_log_state(mesh, problem.rho0, cfg.m, geom=geom)
     return mx.init_mixed_state(mesh, problem.rho0, cfg.m, geom=geom)
 
 
@@ -410,9 +351,6 @@ def run_simulation(cfg: RunConfig):
     state = _init_state(cfg, problem, mesh)
     tracked = tracked_index(problem, mesh, cfg.scheme)
 
-    ld_newton = ld.NewtonParams(tol=cfg.newton_tol, max_iter=cfg.newton_maxiter)
-    mx_newton = mx.NewtonParams(tol=cfg.newton_tol, max_iter=cfg.newton_maxiter)
-
     records = []
     eps = 1e-12 * max(cfg.T, 1.0)
     step = 0
@@ -421,9 +359,9 @@ def run_simulation(cfg: RunConfig):
         dt = min(cfg.dt, cfg.T - state.time)
         try:
             if cfg.scheme == "logdensity":
-                state = ld.step_logdensity(state, dt, cfg.variant, ld_newton)
+                state = ld.step_logdensity(state, dt, cfg.variant, cfg.newton_maxiter)
             else:
-                state, bound = _mixed_step_with_cfl(state, dt, mx_newton, cfg.cfl_autohalve)
+                state, bound = _mixed_step_with_cfl(state, dt, cfg.cfl_autohalve, cfg.newton_maxiter)
         except Exception as exc:
             kind = type(exc) if isinstance(exc, (SolverError, MeshError)) else RuntimeError
             raise kind(f"step {step + 1} (t={state.time + dt:g}) failed: {exc}") from exc
@@ -433,12 +371,12 @@ def run_simulation(cfg: RunConfig):
     return state, records
 
 
-def _mixed_step_with_cfl(state, dt, newton, autohalve):
+def _mixed_step_with_cfl(state, dt, autohalve, max_iter: int = 50):
     """Take a mixed step and check dt against the post hoc CFL bound from the
     new flux; returns the new state and that bound.  A violation is logged
     as a warning; with autohalve the step is redone at dt/2 instead, and
     SolverError is raised when 20 halvings do not meet the bound."""
-    new = mx.step_mixed(state, dt, newton)
+    new = mx.step_mixed(state, dt, max_iter)
     halvings = 0
     while dt > (bound := mx.cfl_max_dt(new)[1]):
         if not autohalve:
@@ -448,7 +386,7 @@ def _mixed_step_with_cfl(state, dt, newton, autohalve):
         if halvings == 20:
             raise SolverError(f"CFL bound {bound:.3e} still below dt={dt:.3e} after 20 halvings")
         dt, halvings = 0.5 * dt, halvings + 1
-        new = mx.step_mixed(state, dt, newton)
+        new = mx.step_mixed(state, dt, max_iter)
     return new, bound
 
 
@@ -461,15 +399,12 @@ def _level_config(cfg: RunConfig, level: int) -> RunConfig:
     return replace(cfg, counts=counts, dt=cfg.dt / refine**level, output="")
 
 
-def run_convergence(cfg: RunConfig, levels: Optional[int] = None):
-    """Refinement study: counts double per level; dt shrinks by 4 per level
-    for the log-density scheme and by 2 for the mixed scheme.  Errors are
-    measured at the final time in the problem's inner region and over the
-    full domain."""
+def run_convergence(cfg: RunConfig):
+    """Refinement study over ``cfg.levels`` levels: counts double per level;
+    dt shrinks by 4 per level for the log-density scheme and by 2 for the
+    mixed scheme.  Errors are measured at the final time in the problem's
+    inner region and over the full domain."""
     cfg = validate_config(cfg)
-    levels = cfg.levels if levels is None else levels
-    if levels < 1:
-        raise ConfigError("levels must be >= 1")
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution for error studies")
@@ -479,14 +414,10 @@ def run_convergence(cfg: RunConfig, levels: Optional[int] = None):
         lcfg = _level_config(cfg, level)
         state, _ = run_simulation(lcfg)
         exact = lambda pts: problem.exact(pts, cfg.T)
-        return (
-            l2_error(state, exact, inner, cfg.quad_degree),
-            l2_error(state, exact, problem.domain, cfg.quad_degree),
-            lcfg,
-        )
+        return l2_error(state, exact, inner), l2_error(state, exact, problem.domain), lcfg
 
-    with ThreadPoolExecutor(max_workers=min(4, levels)) as pool:
-        results = list(pool.map(one_level, range(levels)))
+    with ThreadPoolExecutor(max_workers=min(4, cfg.levels)) as pool:
+        results = list(pool.map(one_level, range(cfg.levels)))
 
     e_inner = [r[0] for r in results]
     e_full = [r[1] for r in results]
@@ -541,40 +472,27 @@ def write_convergence_csv(rows, path):
 _VTK_CELL_TYPES = {INTERVAL: 3, TRIANGLE: 5, QUAD: 9}
 
 
-def write_vtk(state, path, title="pmefem output", u_floor=ld.LOG_FLOOR):
+def write_vtk(state, path, title="pmefem output"):
     """Legacy ASCII VTK unstructured grid.  Log-density states write nodal
-    density (and floored log-density); mixed states write cell density and
-    potential."""
+    density and log-density floored at LOG_FLOOR; mixed states write cell
+    density and potential."""
     mesh = state.mesh
+    nloc = mesh.cells.shape[1]
     with open(path, "w", encoding="utf-8") as f:
-        f.write("# vtk DataFile Version 2.0\n")
-        f.write(title + "\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")
-        for v in mesh.vertices:
-            coords = list(v) + [0.0] * (3 - mesh.dim)
-            f.write(" ".join("%.17g" % c for c in coords) + "\n")
-        nloc = mesh.cells.shape[1]
+        np.savetxt(f, np.pad(mesh.vertices, ((0, 0), (0, 3 - mesh.dim))), fmt="%.17g")
         f.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (nloc + 1)}\n")
-        for c in mesh.cells:
-            f.write(str(nloc) + " " + " ".join(str(int(i)) for i in c) + "\n")
+        np.savetxt(f, np.column_stack([np.full(mesh.n_cells, nloc), mesh.cells]), fmt="%d")
         f.write(f"CELL_TYPES {mesh.n_cells}\n")
-        ctype = _VTK_CELL_TYPES[mesh.cell_kind]
-        for _ in range(mesh.n_cells):
-            f.write(f"{ctype}\n")
+        f.write(f"{_VTK_CELL_TYPES[mesh.cell_kind]}\n" * mesh.n_cells)
         if isinstance(state, mx.MixedState):
             f.write(f"CELL_DATA {mesh.n_cells}\n")
-            _write_scalars(f, "density", state.rho)
-            _write_scalars(f, "potential", state.mu)
+            scalars = {"density": state.rho, "potential": state.mu}
         else:
             f.write(f"POINT_DATA {mesh.n_vertices}\n")
-            _write_scalars(f, "density", state.density())
-            _write_scalars(f, "log_density", np.where(state.active, np.maximum(state.u, u_floor), u_floor))
-
-
-def _write_scalars(f, name, values):
-    f.write(f"SCALARS {name} double\n")
-    f.write("LOOKUP_TABLE default\n")
-    for v in values:
-        f.write("%.17g\n" % v)
+            floored = np.where(state.active, np.maximum(state.u, ld.LOG_FLOOR), ld.LOG_FLOOR)
+            scalars = {"density": state.density(), "log_density": floored}
+        for name, values in scalars.items():
+            f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+            np.savetxt(f, values, fmt="%.17g")

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import (
+    NEWTON_TOL,
     SolverError,
     VertexGraph,
     lumped_mass,
@@ -28,8 +29,11 @@ from .assembly import (
 )
 from .mesh import EdgeGeometry, Mesh, compute_edge_geometry
 
-#: log value stored at inactive vertices (also the default export floor)
+#: log value stored at inactive vertices (also the floor of the VTK export)
 LOG_FLOOR = -50.0
+
+#: a vertex is active while its Newton diagonal M e^u + dt A_ii exceeds this
+CUTOFF = 1e-14
 
 VARIANTS = ("vertex", "edge")
 
@@ -38,12 +42,6 @@ LINE_SEARCH_HALVINGS = 50
 
 #: Newton steps of ``row_solution``: enough for roundoff at every L in float range
 ROW_NEWTON_STEPS = 6
-
-
-@dataclass
-class NewtonParams:
-    tol: float = 1e-11          # residual inf-norm, in lumped-mass units
-    max_iter: int = 50
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,6 @@ class LogDensityState:
     u: np.ndarray
     active: np.ndarray
     time: float = 0.0
-    cutoff: float = 1e-14
     lumped: np.ndarray = field(default=None, repr=False)
     graph: VertexGraph = field(default=None, repr=False)
 
@@ -73,8 +70,7 @@ class LogDensityState:
         return float(self.lumped @ self.density())
 
 
-def init_log_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None,
-                   cutoff: float = 1e-14) -> LogDensityState:
+def init_log_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> LogDensityState:
     """Interpolate pointwise initial density at the vertices.  Vertices with
     exactly zero density start inactive; any positive value, however small,
     stays active (no premature cutoff at initialization)."""
@@ -88,10 +84,7 @@ def init_log_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None,
     u[active] = np.log(rho[active])
     if geom is None:
         geom = compute_edge_geometry(mesh)
-    return LogDensityState(
-        mesh=mesh, geom=geom, m=float(m), u=u, active=active,
-        cutoff=float(cutoff), lumped=lumped_mass(mesh),
-    )
+    return LogDensityState(mesh=mesh, geom=geom, m=float(m), u=u, active=active, lumped=lumped_mass(mesh))
 
 
 class StepSystem:
@@ -116,12 +109,11 @@ class StepSystem:
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev
         self.diag = self.dtA.diagonal()
-        self.cutoff = state.cutoff
 
     def activation_mask(self, u, active):
         """Per-iteration cutoff test on the Newton system diagonal."""
         dens = np.where(active, np.exp(u), 0.0)
-        return (self.M * dens + self.diag) > self.cutoff
+        return (self.M * dens + self.diag) > CUTOFF
 
     def residual(self, u, active):
         """Nonlinear residual restricted to the active set (u must carry
@@ -203,33 +195,32 @@ def newton_update(system: StepSystem, u, active):
 
 
 def step_logdensity(state: LogDensityState, dt, variant: str = "vertex",
-                    newton: NewtonParams | None = None) -> LogDensityState:
-    """Advance one implicit step.  The lumped mass of the density is
-    conserved up to the Newton tolerance; uniform states are returned
-    unchanged."""
-    newton = newton or NewtonParams()
+                    max_iter: int = 50) -> LogDensityState:
+    """Advance one implicit step with at most ``max_iter`` Newton iterations
+    to the tolerance and one more that polishes.  The lumped mass of the
+    density is conserved up to the Newton tolerance; uniform states are
+    returned unchanged."""
     system = StepSystem(state, dt, variant)
     u, active = state.u.copy(), state.active.copy()
-    last = np.inf
     polish = False
-    for k in range(newton.max_iter + 2):
+    for k in range(max_iter + 2):
         act_now = system.activation_mask(u, active)
         if np.array_equal(act_now, active):
             if polish:
                 return replace(state, u=u, active=active, time=state.time + float(dt))
-            r = system.residual(u, active)
-            last = float(np.max(np.abs(r))) if r.size else 0.0
-            if last <= newton.tol:
+            if np.max(np.abs(system.residual(u, active)), initial=0.0) <= NEWTON_TOL:
                 if k == 0:
                     # already a solution (e.g. a uniform state): leave untouched
                     return replace(state, u=u, active=active, time=state.time + float(dt))
                 # one more iteration drives the residual far below the
                 # tolerance, keeping the per-run mass drift negligible
                 polish = True
-        if k > newton.max_iter:
+        if k > max_iter:
             break
         u, active = newton_update(system, u, active)
-    raise SolverError(f"Newton did not converge: residual {last:.3e} after {newton.max_iter} iterations")
+    res = np.max(np.abs(system.residual(u, active)), initial=0.0)
+    raise SolverError(f"log-density Newton did not converge in {k} iterations: "
+                      f"residual {res:.3e} on {active.sum()} active vertices")
 
 
 def entropy_energy(state: LogDensityState) -> float:

@@ -335,27 +335,27 @@ def compute_edge_geometry(mesh: Mesh) -> EdgeGeometry:
     )
 
 
-def is_delaunay(geom: EdgeGeometry, strict: bool = False, tolerance: float = 1e-12) -> bool:
-    """Non-strict: every edge weight >= -tolerance.  Strict: every interior
-    edge weight > tolerance (static condensation needs this).  Interval and
+#: edge-weight tolerance of the Delaunay checks and of the mixed condensation
+DELAUNAY_TOL = 1e-12
+
+
+def is_delaunay(geom: EdgeGeometry, strict: bool = False) -> bool:
+    """Non-strict: every edge weight >= -DELAUNAY_TOL.  Strict: every interior
+    edge weight > DELAUNAY_TOL (static condensation needs this).  Interval and
     quad meshes always qualify."""
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
     if geom.mesh.cell_kind != TRIANGLE:
         return True
     if strict:
-        return bool(np.all(geom.omega[geom.mesh.interior_faces] > tolerance))
-    return bool(np.all(geom.omega >= -tolerance))
+        return bool(np.all(geom.omega[geom.mesh.interior_faces] > DELAUNAY_TOL))
+    return bool(np.all(geom.omega >= -DELAUNAY_TOL))
 
 
 def write_mesh(mesh: Mesh, path) -> None:
     """Plain ASCII dump: header `dim ncells nverts kind`, vertices, cells."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{mesh.dim} {mesh.n_cells} {mesh.n_vertices} {mesh.cell_kind}\n")
-        for v in mesh.vertices:
-            f.write(" ".join("%.17g" % x for x in v) + "\n")
-        for c in mesh.cells:
-            f.write(" ".join(str(int(i)) for i in c) + "\n")
+        np.savetxt(f, mesh.vertices, fmt="%.17g")
+        np.savetxt(f, mesh.cells, fmt="%d")
 
 
 def read_mesh(path) -> Mesh:

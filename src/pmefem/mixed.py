@@ -15,11 +15,11 @@ SPD matrix times a diagonal, so the shared SPD solve gives y = D delta.
 
 An update is halved only while the iteration oscillates: the residual did
 not decrease and the upwind values changed since the previous iterate; full
-steps resume as soon as they repeat, and after ``NewtonParams.max_iter``
-iterations every update is halved.  A step is accepted when the residual is
-within the tolerance under the current upwind values and, if a near-zero
-flux flipped sign on roundoff, under the previous ones too: the state then
-solves the step under either choice.
+steps resume as soon as they repeat, and after ``max_iter`` iterations
+every update is halved, for ``max_iter`` more.  A step is accepted when
+the residual is within the tolerance under the current upwind values and,
+if a near-zero flux flipped sign on roundoff, under the previous ones too:
+the state then solves the step under either choice.
 """
 
 from __future__ import annotations
@@ -28,16 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import GraphOperator, SolverError, velocity_lumped_weights
+from .assembly import NEWTON_TOL, GraphOperator, SolverError, velocity_lumped_weights
 from .assembly import spd_solve as spsolve
-from .mesh import EdgeGeometry, Mesh, MeshError, compute_edge_geometry
-
-
-@dataclass
-class NewtonParams:
-    tol: float = 1e-11
-    max_iter: int = 50      # iterations before every update is halved
-    max_damped: int = 50    # additional halved iterations
+from .mesh import DELAUNAY_TOL, EdgeGeometry, Mesh, MeshError, compute_edge_geometry
 
 
 @dataclass(frozen=True)
@@ -75,25 +68,25 @@ def potential_from_density(rho, m):
     return m / (m - 1.0) * np.maximum(np.asarray(rho, dtype=float), 0.0) ** (m - 1.0)
 
 
-def _interior_faces(geom: EdgeGeometry, min_weight: float = 1e-12):
+def _interior_faces(geom: EdgeGeometry):
     """Interior-face mask, measures |E| and lumped velocity weights w_E.
-    Rejects meshes whose interior face weights are not strictly positive
+    Rejects meshes whose interior face weights are not above DELAUNAY_TOL
     (non-Delaunay triangulations)."""
     mesh = geom.mesh
     interior = mesh.interior_faces
-    if np.any(geom.omega[interior] <= min_weight):
+    if np.any(geom.omega[interior] <= DELAUNAY_TOL):
         raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
     return interior, mesh.face_measures[interior], velocity_lumped_weights(mesh, geom)[interior]
 
 
-def condense_velocity(mu, geom: EdgeGeometry, min_weight: float = 1e-12) -> np.ndarray:
+def condense_velocity(mu, geom: EdgeGeometry) -> np.ndarray:
     """Per-face normal velocity from the cell potentials:
     u_E = |E| (mu_first - mu_second) / w_E on interior faces, 0 on the
     boundary, with w_E the lumped velocity mass weight.  Rejects meshes whose
     interior face weights are not strictly positive (non-Delaunay
     triangulations)."""
     mesh = geom.mesh
-    interior, measure, weight = _interior_faces(geom, min_weight)
+    interior, measure, weight = _interior_faces(geom)
     u = np.zeros(mesh.n_faces)
     k1, k2 = mesh.face_cells[interior].T
     mu = np.asarray(mu, dtype=float)
@@ -126,23 +119,24 @@ def _dmu(rho, m):
 
 def _newton_update(lap, dmu, vol, r):
     """delta with (V + L D) delta = -r: y = D delta solves (V/D + L) y = -r on the
-    cells where D_k L_kk is above roundoff of |K|, the others take (-r - L y) / |K|."""
+    cells where D_k L_kk is above roundoff of |K|, the others take (-r - L y) / |K|.
+    Returns delta and the mask of those coupled cells."""
     coupled = dmu * lap.diagonal() > 2.0**-52 * vol
     y = np.zeros(len(vol))
     if coupled.any():
         y[coupled] = spsolve(lap.restrict(coupled), vol[coupled] / dmu[coupled], -r[coupled])
     delta = (-r - lap @ y) / vol
     delta[coupled] = y[coupled] / dmu[coupled]
-    return delta
+    return delta, coupled
 
 
-def step_mixed(state: MixedState, dt, newton: NewtonParams | None = None) -> MixedState:
-    """Advance one implicit step.  Cell mass balances hold to the Newton
+def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
+    """Advance one implicit step with at most ``max_iter`` Newton iterations,
+    then ``max_iter`` halved ones.  Cell mass balances hold to the Newton
     tolerance and the total mass is conserved exactly up to it; uniform
     states are returned unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    newton = newton or NewtonParams()
     mesh, m, graph = state.mesh, state.m, state.graph
     interior, measure, weight = _interior_faces(state.geom)
     k1, k2 = mesh.face_cells[interior].T
@@ -156,30 +150,31 @@ def step_mixed(state: MixedState, dt, newton: NewtonParams | None = None) -> Mix
 
     rho = rho_prev.copy()
     rhat_last = res_last = None
-    total = newton.max_iter + newton.max_damped
-    for it in range(total + 1):
+    coupled = np.zeros(n, dtype=bool)
+    for it in range(2 * max_iter + 1):
         mu = potential_from_density(rho, m)
         u_int = measure * (mu[k1] - mu[k2]) / weight
         rhat = np.where(u_int >= 0, rho_prev[k1], rho_prev[k2])
         r = balance(rho, u_int, rhat)
         res = float(np.max(np.abs(r)))
         settled = rhat_last is None or np.array_equal(rhat, rhat_last)
-        if res <= newton.tol and (settled or np.max(np.abs(balance(rho, u_int, rhat_last))) <= newton.tol):
+        if res <= NEWTON_TOL and (settled or np.max(np.abs(balance(rho, u_int, rhat_last))) <= NEWTON_TOL):
             if it == 0:
                 return replace(state, time=state.time + dt)
             u = np.zeros(mesh.n_faces)
             u[interior] = u_int
             return replace(state, rho=rho, mu=mu, u=u, time=state.time + dt)
-        if it == total:
-            raise SolverError(f"mixed Newton did not converge: residual {res:.3e}")
+        if it == 2 * max_iter:
+            raise SolverError(f"mixed Newton did not converge in {it} iterations: "
+                              f"residual {res:.3e} on {coupled.sum()} coupled cells")
 
         # Newton step with frozen upwind directions
         g = dt * rhat * measure**2 / weight
-        delta = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
-                               _dmu(rho, m), vol, r)
+        delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
+                                        _dmu(rho, m), vol, r)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")
-        if it >= newton.max_iter or (not settled and res >= res_last):
+        if it >= max_iter or (not settled and res >= res_last):
             delta = 0.5 * delta  # halved while the upwind values oscillate, always after max_iter
         rho = rho + delta
         rhat_last, res_last = rhat, res

@@ -176,11 +176,11 @@ def test_criterion_6_oracle_equivalences():
     for name, mesh in _mesh_suite().items():
         geom = compute_edge_geometry(mesh)
         oracle = p1_stiffness_oracle(mesh, coeff=2.0)
-        vertex = stiffness_vertex_quadrature(mesh, np.zeros(mesh.n_vertices), 2.0).toarray()
+        vertex = stiffness_vertex_quadrature(mesh, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
         if np.max(np.abs(vertex - oracle)) > 1e-12:
             failures.append(f"vertex stiffness mismatch on {name}")
         if mesh.cell_kind != "quad":
-            edge = stiffness_edge_based(mesh, geom, np.zeros(mesh.n_vertices), 2.0).toarray()
+            edge = stiffness_edge_based(mesh, geom, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
             if np.max(np.abs(edge - oracle)) > 1e-12:
                 failures.append(f"edge stiffness mismatch on {name}")
 

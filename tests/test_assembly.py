@@ -118,15 +118,15 @@ class TestStiffness:
         geom = compute_edge_geometry(m)
         u0 = np.zeros(m.n_vertices)
         oracle = p1_stiffness_oracle(m, coeff=2.0)  # gamma = m*exp(0) = 2
-        edge = stiffness_edge_based(m, geom, u0, 2.0).toarray()
-        vertex = stiffness_vertex_quadrature(m, u0, 2.0).toarray()
+        edge = stiffness_edge_based(m, geom, u0, 2.0).tocsr().toarray()
+        vertex = stiffness_vertex_quadrature(m, u0, 2.0).tocsr().toarray()
         assert np.max(np.abs(edge - oracle)) < 1e-12
         assert np.max(np.abs(vertex - oracle)) < 1e-12
 
     def test_constant_coefficient_quads(self):
         m = MESHES["quad"]()
         oracle = p1_stiffness_oracle(m, coeff=3.0)
-        vertex = stiffness_vertex_quadrature(m, np.zeros(m.n_vertices), 3.0).toarray()
+        vertex = stiffness_vertex_quadrature(m, np.zeros(m.n_vertices), 3.0).tocsr().toarray()
         assert np.max(np.abs(vertex - oracle)) < 1e-12
 
     def test_edge_rejects_quads(self):
@@ -139,9 +139,9 @@ class TestStiffness:
         m = build_structured_mesh("interval", (0, 1), 1)
         geom = compute_edge_geometry(m)
         u = np.array([0.0, np.log(2)])
-        edge = stiffness_edge_based(m, geom, u, 2.0).toarray()
+        edge = stiffness_edge_based(m, geom, u, 2.0).tocsr().toarray()
         assert edge[0, 1] == pytest.approx(-3.6967849, rel=1e-6)
-        vertex = stiffness_vertex_quadrature(m, u, 2.0).toarray()
+        vertex = stiffness_vertex_quadrature(m, u, 2.0).tocsr().toarray()
         assert vertex[0, 1] == pytest.approx(-5.0)  # -(2 + 8)/2
 
     @pytest.mark.parametrize("name", sorted(MESHES))
@@ -156,7 +156,7 @@ class TestStiffness:
             A = stiffness_edge_based(m, compute_edge_geometry(m), u, 2.0)
         else:
             A = stiffness_vertex_quadrature(m, u, 2.0)
-        assert np.max(np.abs(A.row_sums())) < 1e-12
+        assert np.max(np.abs(A.tocsr().sum(axis=1).A1)) < 1e-12
 
     @pytest.mark.parametrize("name", ["interval", "triangle", "acute", "quad"])
     def test_positive_semidefinite(self, name):
@@ -179,11 +179,11 @@ class TestStiffness:
         u = rng.normal(scale=0.3, size=m.n_vertices)
         c, mexp = 0.7, 2.0
         if variant == "edge":
-            A0 = stiffness_edge_based(m, geom, u, mexp).toarray()
-            A1 = stiffness_edge_based(m, geom, u + c, mexp).toarray()
+            A0 = stiffness_edge_based(m, geom, u, mexp).tocsr().toarray()
+            A1 = stiffness_edge_based(m, geom, u + c, mexp).tocsr().toarray()
         else:
-            A0 = stiffness_vertex_quadrature(m, u, mexp).toarray()
-            A1 = stiffness_vertex_quadrature(m, u + c, mexp).toarray()
+            A0 = stiffness_vertex_quadrature(m, u, mexp).tocsr().toarray()
+            A1 = stiffness_vertex_quadrature(m, u + c, mexp).tocsr().toarray()
         assert np.allclose(A1, np.exp(mexp * c) * A0, rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("name", ["interval", "acute", "quad"])
@@ -209,7 +209,7 @@ class TestStiffness:
         geom = compute_edge_geometry(m)
         u = np.zeros(4)
         active = np.array([True, True, False, True])
-        A = stiffness_edge_based(m, geom, u, 2.0, active).toarray()
+        A = stiffness_edge_based(m, geom, u, 2.0, active).tocsr().toarray()
         assert A[2, :] == pytest.approx(0.0)
         assert A[0, 1] != 0.0
 
@@ -338,29 +338,29 @@ class TestGraphOperator:
     def test_exact_symmetry_and_pair_accumulation(self):
         op = GraphOperator(3, cell_pairs=[(0, 1), (1, 0), (1, 2)])
         assert op.n_edges == 2
-        A = op.laplacian(np.bincount(op.cell_edge, [0.1, 0.2, 0.3], op.n_edges)).toarray()
+        A = op.laplacian(np.bincount(op.cell_edge, [0.1, 0.2, 0.3], op.n_edges)).tocsr().toarray()
         assert np.array_equal(A, A.T)
         assert A[0, 1] == pytest.approx(-0.3)  # (0,1) and (1,0) accumulate together
         m, K, rng = stiffness_2d()
         for B in (K, stiffness_edge_based(m, compute_edge_geometry(m), rng.normal(size=m.n_vertices), 3.0)):
-            arr = B.toarray()
+            arr = B.tocsr().toarray()
             assert np.array_equal(arr, arr.T)
 
     def test_restrict(self):
         m, A, rng = stiffness_2d()
         active = rng.uniform(size=m.n_vertices) < 0.6
         sub = A.restrict(active)
-        full = A.toarray()
+        full = A.tocsr().toarray()
         assert sub.n == int(active.sum())
-        assert np.array_equal(sub.toarray(), full[active][:, active])
+        assert np.array_equal(sub.tocsr().toarray(), full[active][:, active])
         assert np.array_equal(sub.diagonal(), full.diagonal()[active])
         # rows lose exactly their coupling to the dropped vertices
-        assert sub.row_sums() == pytest.approx(-full[active][:, ~active].sum(axis=1), abs=1e-12)
-        assert np.max(np.abs(A.row_sums())) < 1e-12
+        assert sub.tocsr().sum(axis=1).A1 == pytest.approx(-full[active][:, ~active].sum(axis=1), abs=1e-12)
+        assert np.max(np.abs(A.tocsr().sum(axis=1).A1)) < 1e-12
 
     def test_scaled(self):
         A = graph_matrix(2, [(0, 1)], [1.0], [0.0, 1.0])
-        assert np.allclose(A.scaled(0.5).toarray(), [[0.0, 0.5], [0.5, 0.5]])
+        assert np.allclose(A.scaled(0.5).tocsr().toarray(), [[0.0, 0.5], [0.5, 0.5]])
 
     def test_inactive_edges_keep_the_pattern(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (4, 4))
@@ -369,7 +369,7 @@ class TestGraphOperator:
         graph = VertexGraph(m)
         A = stiffness_edge_based(m, compute_edge_geometry(m), np.zeros(m.n_vertices), 2.0, active, graph)
         assert A.data.size == graph.nnz
-        arr = A.toarray()
+        arr = A.tocsr().toarray()
         assert np.all(arr[~active][:, active] == 0.0)
 
     def test_cell_graph_face_positions(self):

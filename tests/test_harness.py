@@ -1,5 +1,6 @@
 """Config parsing, error norms, simulation records, file formats, CLI."""
 
+import itertools
 import logging
 import math
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from pmefem import cli
+from pmefem import logdensity as ld
 from pmefem import mixed as mx
-from pmefem.assembly import GraphOperator, SolverError
+from pmefem.assembly import NEWTON_TOL, GraphOperator, SolverError
 from pmefem.harness import (
     ConfigError,
     RunConfig,
@@ -22,9 +24,10 @@ from pmefem.harness import (
     write_timeseries_csv,
     write_vtk,
     ConvergenceRow,
+    _QUADRATURE,
     _mixed_step_with_cfl,
 )
-from pmefem.mesh import MeshError, build_structured_mesh, write_mesh
+from pmefem.mesh import DELAUNAY_TOL, MeshError, build_structured_mesh, write_mesh
 from pmefem.mixed import init_mixed_state
 from pmefem.logdensity import init_log_state
 from pmefem.problems import get_problem
@@ -52,10 +55,18 @@ class TestParseConfig:
         assert cfg.counts == (100,)
         assert cfg.domain == (-10.0, 10.0)
         assert cfg.mesh_kind == "interval"
-        assert cfg.cutoff == 1e-14
-        assert cfg.newton_tol == 1e-11
-        assert cfg.quad_degree == 4
+        assert cfg.newton_maxiter == 50
         assert cfg.variant == "vertex"
+        # single-valued settings are module constants, not config keys
+        assert NEWTON_TOL == 1e-11
+        assert ld.CUTOFF == 1e-14
+        assert ld.LOG_FLOOR == -50.0
+        assert DELAUNAY_TOL == 1e-12
+
+    @pytest.mark.parametrize("line", ["newton_tol = 1e-11", "cutoff = 1e-14", "quad_degree = 4", "u_floor = -50"])
+    def test_removed_keys_are_unknown(self, tmp_path, line):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -69,10 +80,24 @@ class TestParseConfig:
         text = MINIMAL.replace("scheme = logdensity", "scheme = mixed") + "variant = edge\n"
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, text))
+        # also when given its default value, or only as an override
+        mixed = write_cfg(tmp_path, MINIMAL.replace("scheme = logdensity", "scheme = mixed"))
+        with pytest.raises(ConfigError, match="log-density scheme only"):
+            parse_config(mixed, {"variant": "vertex"})
 
     def test_autohalve_is_mixed_only(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, MINIMAL + "cfl_autohalve = true\n"))
+        with pytest.raises(ConfigError, match="mixed scheme only"):
+            parse_config(write_cfg(tmp_path, MINIMAL), {"cfl_autohalve": "false"})
+
+    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 3), ("mixed", 4)])
+    def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, scheme, iterations):
+        # log-density: newton_maxiter iterations and a polishing one;
+        # mixed: newton_maxiter full and newton_maxiter halved iterations
+        text = MINIMAL.replace("logdensity", scheme) + "m = 3\ndt = 0.1\nT = 0.1\nn = 30\nnewton_maxiter = 2\n"
+        assert cli.main(["simulate", str(write_cfg(tmp_path, text))]) == 2
+        assert f"Newton did not converge in {iterations} iterations" in capsys.readouterr().err
 
     def test_missing_required(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -132,6 +157,31 @@ class TestL2Error:
         # u is exactly linear, so exp(u_h) equals exp(x) pointwise
         err = l2_error(st, lambda pts: np.exp(pts[:, 0]), (0, 1))
         assert err < 1e-14
+
+    @pytest.mark.parametrize("kind", ["quad", "triangle"])
+    def test_log_state_interpolation_2d(self, kind):
+        mesh = build_structured_mesh(kind, ((0, 1), (0, 2)), (5, 4))
+        density = lambda pts: np.exp(pts[:, 0] - 2 * pts[:, 1])
+        st = init_log_state(mesh, density, 2.0)
+        # linear u is reproduced by the P1 and the bilinear interpolant
+        assert l2_error(st, density, ((0, 1), (0, 2))) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["interval", "quad", "triangle"])
+    def test_quadrature_exact_to_degree_4(self, kind):
+        phi, w = _QUADRATURE[kind]
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(phi.sum(axis=1), 1.0)
+        box = ((0.5, 2.0),) if kind == "interval" else ((0.5, 2.0), (-1.0, 0.5))
+        mesh = build_structured_mesh(kind, box, (3,) * len(box))
+        st = init_log_state(mesh, lambda pts: np.zeros(len(pts)), 2.0)  # density 0
+        for powers in itertools.product(range(3), repeat=len(box)):
+            if sum(powers) > 2:
+                continue
+            # the squared error integrates the squared monomial, of degree <= 4
+            exact = np.prod([(hi ** (2 * p + 1) - lo ** (2 * p + 1)) / (2 * p + 1)
+                             for (lo, hi), p in zip(box, powers)])
+            err = l2_error(st, lambda pts: np.prod(pts ** np.array(powers), axis=1), box)
+            assert err**2 == pytest.approx(exact, rel=1e-13)
 
     def test_inactive_cells_contribute_exact_mass(self):
         mesh = build_structured_mesh("interval", (0, 1), 2)
@@ -248,11 +298,11 @@ class TestRunSimulation:
         steps = []
         step = mx.step_mixed
 
-        def failing_step(state, dt, newton):
+        def failing_step(state, dt, max_iter):
             if steps:
                 raise MeshError("bad face")
             steps.append(dt)
-            return step(state, dt, newton)
+            return step(state, dt, max_iter)
 
         monkeypatch.setattr(mx, "step_mixed", failing_step)
         with pytest.raises(MeshError, match=r"step 2 \(t=0.2\) failed: bad face") as info:
@@ -283,9 +333,9 @@ class TestCflGuard:
     def test_violation_without_autohalve_is_logged(self, caplog):
         st = self.barenblatt_state()
         with caplog.at_level(logging.WARNING, logger="pmefem.harness"):
-            _mixed_step_with_cfl(st, 1e-3, mx.NewtonParams(), autohalve=False)
+            _mixed_step_with_cfl(st, 1e-3, autohalve=False)
             assert not caplog.records
-            new, bound = _mixed_step_with_cfl(st, 0.5, mx.NewtonParams(), autohalve=False)
+            new, bound = _mixed_step_with_cfl(st, 0.5, autohalve=False)
         assert bound == mx.cfl_max_dt(new)[1] < 0.5
         assert len(caplog.records) == 1
         assert "exceeds the post hoc CFL bound" in caplog.text
@@ -297,7 +347,7 @@ class TestCflGuard:
         monkeypatch.setattr(mx, "step_mixed", lambda *args: steps.append(args[1]) or step(*args))
         monkeypatch.setattr(mx, "cfl_max_dt", lambda state: (None, 1e-30))
         with pytest.raises(SolverError, match="20 halvings"):
-            _mixed_step_with_cfl(st, 0.01, mx.NewtonParams(), autohalve=True)
+            _mixed_step_with_cfl(st, 0.01, autohalve=True)
         assert steps == [0.01 / 2**k for k in range(21)]
 
     def test_bound_computed_once_per_step(self, monkeypatch):
@@ -363,6 +413,33 @@ class TestOutputs:
         cd = text.index("CELL_DATA 2")
         assert "SCALARS density double" in text[cd + 1]
         assert "SCALARS potential double" in text
+
+    def test_vtk_bytes_log_state(self, tmp_path):
+        # one inactive vertex and one below the export floor of -50
+        mesh = build_structured_mesh("triangle", ((0, 1), (0, 1)), (1, 1))
+        st = init_log_state(mesh, lambda pts: np.array([1 / 3, 1e-30, 2.5, 0.0]), 2.0)
+        write_vtk(st, tmp_path / "out.vtk", title="log state")
+        assert (tmp_path / "out.vtk").read_bytes() == (
+            b"# vtk DataFile Version 2.0\nlog state\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            b"POINTS 4 double\n0 0 0\n1 0 0\n0 1 0\n1 1 0\n"
+            b"CELLS 2 8\n3 0 1 3\n3 0 3 2\nCELL_TYPES 2\n5\n5\n"
+            b"POINT_DATA 4\nSCALARS density double\nLOOKUP_TABLE default\n"
+            b"0.33333333333333331\n1.0000000000000024e-30\n2.5\n0\n"
+            b"SCALARS log_density double\nLOOKUP_TABLE default\n"
+            b"-1.0986122886681098\n-50\n0.91629073187415511\n-50\n")
+
+    def test_vtk_bytes_mixed_state(self, tmp_path):
+        mesh = build_structured_mesh("interval", (0, 1), 2)
+        st = init_mixed_state(mesh, lambda pts: np.array([1 / 3, 0.7]), 2.5)
+        write_vtk(st, tmp_path / "out.vtk", title="mixed state")
+        assert (tmp_path / "out.vtk").read_bytes() == (
+            b"# vtk DataFile Version 2.0\nmixed state\nASCII\nDATASET UNSTRUCTURED_GRID\n"
+            b"POINTS 3 double\n0 0 0\n0.5 0 0\n1 0 0\n"
+            b"CELLS 2 6\n2 0 1\n2 1 2\nCELL_TYPES 2\n3\n3\n"
+            b"CELL_DATA 2\nSCALARS density double\nLOOKUP_TABLE default\n"
+            b"0.33333333333333331\n0.69999999999999996\n"
+            b"SCALARS potential double\nLOOKUP_TABLE default\n"
+            b"0.32075014954979209\n0.97610336428975475\n")
 
     def test_vtk_point_data_for_log_states(self, tmp_path):
         mesh = build_structured_mesh("triangle", ((0, 1), (0, 1)), (2, 2))

@@ -10,7 +10,6 @@ from pmefem.assembly import SolverError, lumped_mass, spd_solve
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.logdensity import (
     LogDensityState,
-    NewtonParams,
     StepSystem,
     bounds,
     entropy_energy,
@@ -23,11 +22,11 @@ from pmefem.mesh import build_structured_mesh, compute_edge_geometry
 from pmefem.problems import barenblatt, get_problem
 
 
-def make_state(mesh, u, active=None, m=2.0, cutoff=1e-14):
+def make_state(mesh, u, active=None, m=2.0):
     geom = compute_edge_geometry(mesh)
     active = np.ones(mesh.n_vertices, bool) if active is None else active
     return LogDensityState(mesh=mesh, geom=geom, m=m, u=np.asarray(u, float),
-                           active=active, cutoff=cutoff, lumped=lumped_mass(mesh))
+                           active=active, lumped=lumped_mass(mesh))
 
 
 def positive_state(mesh, m=2.0, seed=0):
@@ -287,7 +286,15 @@ class TestFailureModes:
         mesh = build_structured_mesh("interval", (0, 1), 8)
         st = positive_state(mesh, seed=3)
         with pytest.raises(SolverError):
-            step_logdensity(st, 1e6, newton=NewtonParams(max_iter=1))
+            step_logdensity(st, 1e6, max_iter=1)
+
+    def test_nonconvergence_message(self):
+        # one iteration to the tolerance and the polishing one are not enough
+        mesh = build_structured_mesh("interval", (-10, 10), 30)
+        st = init_log_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
+        with pytest.raises(SolverError, match=r"^log-density Newton did not converge in 2 iterations: "
+                                              r"residual \d\.\d{3}e-0\d on 19 active vertices$"):
+            step_logdensity(st, 0.1, max_iter=1)
 
     def test_invalid_variant(self):
         mesh = build_structured_mesh("interval", (0, 1), 4)

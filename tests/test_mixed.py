@@ -9,7 +9,6 @@ from pmefem.harness import RunConfig, run_simulation
 from pmefem.mesh import MeshError, build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import (
     MixedState,
-    NewtonParams,
     _dmu,
     _newton_update,
     cfl_max_dt,
@@ -19,7 +18,7 @@ from pmefem.mixed import (
     potential_from_density,
     step_mixed,
 )
-from pmefem.problems import barenblatt, merging_gaussians
+from pmefem.problems import barenblatt, get_problem, merging_gaussians
 
 
 def state_from_rho(mesh, rho, m=2.0):
@@ -309,8 +308,8 @@ class TestNewtonUpdate:
             jac[b, b] += ga * dmu[b]
         r = np.random.default_rng(1).standard_normal(mesh.n_cells)
         graph = state.graph
-        delta = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
-                               dmu, mesh.cell_volumes, r)
+        delta, _ = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
+                                  dmu, mesh.cell_volumes, r)
         assert np.all(np.isfinite(delta))
         assert np.linalg.norm(jac @ delta + r) <= 1e-11 * np.linalg.norm(r)
 
@@ -350,4 +349,13 @@ class TestFailureModes:
         mesh = build_structured_mesh("interval", (-10, 10), 30)
         st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0)
         with pytest.raises(SolverError):
-            step_mixed(st, 1e9, newton=NewtonParams(max_iter=1, max_damped=0))
+            step_mixed(st, 1e9, max_iter=1)
+
+    def test_nonconvergence_message(self):
+        # one full and one halved iteration
+        problem = get_problem("horseshoe", 3.0)
+        mesh = build_structured_mesh("acute_triangle", problem.domain, (8, 8))
+        st = init_mixed_state(mesh, problem.rho0, 3.0)
+        with pytest.raises(SolverError, match=r"^mixed Newton did not converge in 2 iterations: "
+                                              r"residual \d\.\d{3}e-0\d on 32 coupled cells$"):
+            step_mixed(st, 1e-3, max_iter=1)
