@@ -37,10 +37,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_converge(args):
-    overrides = _override_pairs(args.set)
-    if args.levels is not None:
-        overrides["levels"] = str(args.levels)
-    cfg = harness.parse_config(args.config, overrides)
+    cfg = harness.parse_config(args.config, _override_pairs(args.set))
     rows = harness.run_convergence(cfg)
     print(harness.CONVERGENCE_HEADER)
     for r in rows:
@@ -80,8 +77,8 @@ def main(argv=None):
 
     p = sub.add_parser("converge", help="run a mesh refinement study")
     p.add_argument("config")
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--set", "-o", action="append", metavar="KEY=VALUE")
+    p.add_argument("--set", "-o", action="append", metavar="KEY=VALUE",
+                   help="override a config key (repeatable), e.g. -o levels=4")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("mesh-info", help="describe an ASCII mesh file")

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -181,8 +181,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("final time must be at least dt")
     if cfg.variant not in ld.VARIANTS:
         raise ConfigError(f"unknown stiffness variant {cfg.variant!r}")
-    if cfg.cadence < 1 or cfg.levels < 1:
-        raise ConfigError("cadence and levels must be >= 1")
+    if cfg.cadence < 1 or cfg.levels < 1 or cfg.newton_maxiter < 1:
+        raise ConfigError("cadence, levels and newton_maxiter must be >= 1")
+    if cfg.problem == "waiting" and not 0.0 <= cfg.theta <= 1.0:
+        raise ConfigError("theta must lie in [0, 1]")
 
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if not cfg.mesh_kind:
@@ -287,10 +289,6 @@ def convergence_order(errors, ratio: float = 2.0):
 # ---------------------------------------------------------------------------
 # simulation driver
 
-def _build_mesh(cfg: RunConfig) -> Mesh:
-    return build_structured_mesh(cfg.mesh_kind, cfg.domain, cfg.counts)
-
-
 def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
     """Vertex (log-density) or cell (mixed) used to monitor the interface in
     waiting-time runs; ties between two cells break toward the outside."""
@@ -347,7 +345,7 @@ def run_simulation(cfg: RunConfig):
     RuntimeError, chained to the original."""
     cfg = validate_config(cfg)
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
-    mesh = _build_mesh(cfg)
+    mesh = build_structured_mesh(cfg.mesh_kind, cfg.domain, cfg.counts)
     state = _init_state(cfg, problem, mesh)
     tracked = tracked_index(problem, mesh, cfg.scheme)
 
@@ -437,36 +435,26 @@ def run_convergence(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 # output writers
 
-def _fmt(x):
-    if x is None:
-        return ""
-    return "%.17g" % x
+TIMESERIES_HEADER = ",".join(f.name for f in fields(TimeSeriesRecord))
+CONVERGENCE_HEADER = ",".join(f.name for f in fields(ConvergenceRow))
 
 
-TIMESERIES_HEADER = "step,time,mass,energy,min_density,max_density,tracked_density,cfl_bound"
-CONVERGENCE_HEADER = "level,N,dt,error_inner,order_inner,error_full,order_full"
+def _write_csv(header, records, path):
+    """One line per record, its fields in order: None as empty, strings as
+    they are, numbers as %.17g."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for r in records:
+            f.write(",".join("" if x is None else x if isinstance(x, str) else "%.17g" % x
+                             for x in astuple(r)) + "\n")
 
 
 def write_timeseries_csv(records, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(TIMESERIES_HEADER + "\n")
-        for r in records:
-            f.write(",".join([
-                str(r.step), _fmt(r.time), _fmt(r.mass), _fmt(r.energy),
-                _fmt(r.min_density), _fmt(r.max_density),
-                _fmt(r.tracked_density), _fmt(r.cfl_bound),
-            ]) + "\n")
+    _write_csv(TIMESERIES_HEADER, records, path)
 
 
 def write_convergence_csv(rows, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(CONVERGENCE_HEADER + "\n")
-        for r in rows:
-            f.write(",".join([
-                str(r.level), r.N, _fmt(r.dt),
-                _fmt(r.error_inner), _fmt(r.order_inner),
-                _fmt(r.error_full), _fmt(r.order_full),
-            ]) + "\n")
+    _write_csv(CONVERGENCE_HEADER, rows, path)
 
 
 _VTK_CELL_TYPES = {INTERVAL: 3, TRIANGLE: 5, QUAD: 9}

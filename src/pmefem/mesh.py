@@ -248,91 +248,70 @@ def build_structured_mesh(kind, box, counts) -> Mesh:
 
 def _acute_triangle_mesh(box, nx, ny):
     """Offset-row strip triangulation; interior edge weights are positive for
-    near-unit cell aspect (hy > hx/2)."""
+    near-unit cell aspect (hy > hx/2).  Even rows hold the nx + 1 grid
+    points, odd rows the nx cell midpoints between the two ends; each strip
+    of 2nx + 1 triangles repeats the template of its lower row's parity."""
     (x0, x1), (y0, y1) = box
     hx = (x1 - x0) / nx
-    rows = []
-    verts = []
-    for j in range(ny + 1):
-        y = y0 + j * (y1 - y0) / ny
-        if j % 2 == 0:
-            xs = [x0 + i * hx for i in range(nx + 1)]
-        else:
-            xs = [x0] + [x0 + (i + 0.5) * hx for i in range(nx)] + [x1]
-        rows.append(list(range(len(verts), len(verts) + len(xs))))
-        verts.extend((x, y) for x in xs)
+    full = x0 + np.arange(nx + 1) * hx
+    offset = np.concatenate([[x0], x0 + (np.arange(nx) + 0.5) * hx, [x1]])
+    j = np.arange(ny + 1)
+    row_len = np.where(j % 2 == 0, nx + 1, nx + 2)
+    start = np.concatenate([[0], np.cumsum(row_len)])
+    xs = np.tile(np.concatenate([full, offset]), ny // 2 + 1)[:start[-1]]
+    ys = np.repeat(y0 + j * (y1 - y0) / ny, row_len)
 
-    cells = []
-    for j in range(ny):
-        b, t = rows[j], rows[j + 1]
-        if j % 2 == 0:  # full row below, offset row above
-            cells.append([b[0], t[1], t[0]])
-            for i in range(nx):
-                cells.append([b[i], b[i + 1], t[i + 1]])
-            for i in range(nx - 1):
-                cells.append([b[i + 1], t[i + 2], t[i + 1]])
-            cells.append([b[nx], t[nx + 1], t[nx]])
-        else:  # offset row below, full row above
-            cells.append([b[0], b[1], t[0]])
-            for i in range(nx):
-                cells.append([b[i + 1], t[i + 1], t[i]])
-            for i in range(nx - 1):
-                cells.append([b[i + 1], b[i + 2], t[i + 1]])
-            cells.append([b[nx], b[nx + 1], t[nx]])
-    return make_mesh(np.asarray(verts), cells, TRIANGLE)
+    # local vertex numbers from the strip's first vertex; the upper row starts at t
+    i = np.arange(nx)
+    t = nx + 1  # even strip: full row below, offset row above
+    even = np.concatenate([
+        [[0, t + 1, t]],
+        np.column_stack([i, i + 1, t + i + 1]),
+        np.column_stack([i[1:], t + i[1:] + 1, t + i[1:]]),
+        [[nx, t + nx + 1, t + nx]],
+    ])
+    t = nx + 2  # odd strip: offset row below, full row above
+    odd = np.concatenate([
+        [[0, 1, t]],
+        np.column_stack([i + 1, t + i + 1, t + i]),
+        np.column_stack([i[1:], i[1:] + 1, t + i[1:]]),
+        [[nx, nx + 1, t + nx]],
+    ])
+    cells = np.stack([even, odd])[j[:-1] % 2] + start[:-2, None, None]
+    return make_mesh(np.column_stack([xs, ys]), cells.reshape(-1, 3), TRIANGLE)
 
 
 @dataclass(frozen=True)
 class EdgeGeometry:
     """Per-face lumping weights shared by both schemes.
 
-    omega_cell[f, s] is the weight contributed by incident cell s of face f:
+    omega[f] sums over the incident cells of face f the weight
     (1/2) cot(opposite angle) on triangles, |K|/2 on quads and intervals.
-    omega is the sum over incident cells.  theta holds the opposite angles in
-    radians on triangle meshes (NaN otherwise).
     """
 
     mesh: Mesh
-    omega_cell: np.ndarray
     omega: np.ndarray
-    theta: np.ndarray
 
 
 def compute_edge_geometry(mesh: Mesh) -> EdgeGeometry:
-    nf = mesh.n_faces
-    omega_cell = np.zeros((nf, 2))
-    theta = np.full((nf, 2), np.nan)
-
-    if mesh.cell_kind == TRIANGLE:
-        if np.any(mesh.cell_volumes <= 0):
-            raise MeshError("degenerate cell")
-        for slot in (0, 1):
-            cells = mesh.face_cells[:, slot]
-            has = cells >= 0
+    if mesh.cell_kind == TRIANGLE and np.any(mesh.cell_volumes <= 0):
+        raise MeshError("degenerate cell")
+    omega = np.zeros(mesh.n_faces)
+    for slot in (0, 1):
+        cells = mesh.face_cells[:, slot]
+        has = cells >= 0
+        if mesh.cell_kind == TRIANGLE:
             fc = mesh.faces[has]
-            cc = mesh.cells[cells[has]]
             # the opposite vertex is the one not on the face
-            opp = cc.sum(axis=1) - fc.sum(axis=1)
+            opp = mesh.cells[cells[has]].sum(axis=1) - fc.sum(axis=1)
             pa = mesh.vertices[fc[:, 0]] - mesh.vertices[opp]
             pb = mesh.vertices[fc[:, 1]] - mesh.vertices[opp]
             cosang = np.einsum("ij,ij->i", pa, pb)
             cosang /= np.linalg.norm(pa, axis=1) * np.linalg.norm(pb, axis=1)
-            ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-            theta[has, slot] = ang
-            omega_cell[has, slot] = 0.5 / np.tan(ang)
-    else:
-        vols = mesh.cell_volumes
-        for slot in (0, 1):
-            cells = mesh.face_cells[:, slot]
-            has = cells >= 0
-            omega_cell[has, slot] = 0.5 * vols[cells[has]]
-
-    return EdgeGeometry(
-        mesh=mesh,
-        omega_cell=_readonly(omega_cell),
-        omega=_readonly(omega_cell.sum(axis=1)),
-        theta=_readonly(theta),
-    )
+            omega[has] += 0.5 / np.tan(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        else:
+            omega[has] += 0.5 * mesh.cell_volumes[cells[has]]
+    return EdgeGeometry(mesh=mesh, omega=_readonly(omega))
 
 
 #: edge-weight tolerance of the Delaunay checks and of the mixed condensation

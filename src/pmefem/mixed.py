@@ -30,7 +30,30 @@ import numpy as np
 
 from .assembly import NEWTON_TOL, GraphOperator, SolverError, velocity_lumped_weights
 from .assembly import spd_solve as spsolve
-from .mesh import DELAUNAY_TOL, EdgeGeometry, Mesh, MeshError, compute_edge_geometry
+from .mesh import EdgeGeometry, Mesh, MeshError, compute_edge_geometry, is_delaunay
+
+
+class CellGraph(GraphOperator):
+    """Cell graph of the mixed scheme, cells joined by an interior face in
+    face order, with the face table of its two-point fluxes: the interior
+    mask, the incident cells k1 -> k2, the measures |E| and the lumped
+    velocity weights w_E.  Rejects meshes that are not strictly Delaunay,
+    whose faces static condensation cannot turn into two-point fluxes."""
+
+    def __init__(self, geom: EdgeGeometry):
+        if not is_delaunay(geom, strict=True):
+            raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
+        mesh = geom.mesh
+        self.interior = mesh.interior_faces
+        pairs = mesh.face_cells[self.interior]
+        super().__init__(mesh.n_cells, face_pairs=pairs)
+        self.k1, self.k2 = pairs.T
+        self.measure = mesh.face_measures[self.interior]
+        self.weight = velocity_lumped_weights(mesh, geom)[self.interior]
+
+    def velocity(self, mu):
+        """Interior-face velocities u_E = |E| (mu_k1 - mu_k2) / w_E."""
+        return self.measure * (mu[self.k1] - mu[self.k2]) / self.weight
 
 
 @dataclass(frozen=True)
@@ -40,8 +63,8 @@ class MixedState:
     rho >= 0 per cell (to solver slack), mu = m/(m-1) rho^{m-1}, u is the
     normal velocity component along each face normal; boundary faces carry
     u = 0 (no-flux condition built into the velocity space).  ``graph`` is
-    the mesh's cell graph, built on construction when not given and passed
-    on by every step.
+    the mesh's :class:`CellGraph`, built on construction when not given and
+    passed on by every step.
     """
 
     mesh: Mesh
@@ -51,12 +74,11 @@ class MixedState:
     mu: np.ndarray
     u: np.ndarray
     time: float = 0.0
-    graph: GraphOperator = field(default=None, repr=False)
+    graph: CellGraph = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.graph is None:  # cells joined by an interior face, in face order
-            interior_pairs = self.mesh.face_cells[self.mesh.interior_faces]
-            object.__setattr__(self, "graph", GraphOperator(self.mesh.n_cells, face_pairs=interior_pairs))
+        if self.graph is None:
+            object.__setattr__(self, "graph", CellGraph(self.geom))
 
     def total_mass(self) -> float:
         return float(self.mesh.cell_volumes @ self.rho)
@@ -68,29 +90,11 @@ def potential_from_density(rho, m):
     return m / (m - 1.0) * np.maximum(np.asarray(rho, dtype=float), 0.0) ** (m - 1.0)
 
 
-def _interior_faces(geom: EdgeGeometry):
-    """Interior-face mask, measures |E| and lumped velocity weights w_E.
-    Rejects meshes whose interior face weights are not above DELAUNAY_TOL
-    (non-Delaunay triangulations)."""
-    mesh = geom.mesh
-    interior = mesh.interior_faces
-    if np.any(geom.omega[interior] <= DELAUNAY_TOL):
-        raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
-    return interior, mesh.face_measures[interior], velocity_lumped_weights(mesh, geom)[interior]
-
-
-def condense_velocity(mu, geom: EdgeGeometry) -> np.ndarray:
-    """Per-face normal velocity from the cell potentials:
-    u_E = |E| (mu_first - mu_second) / w_E on interior faces, 0 on the
-    boundary, with w_E the lumped velocity mass weight.  Rejects meshes whose
-    interior face weights are not strictly positive (non-Delaunay
-    triangulations)."""
-    mesh = geom.mesh
-    interior, measure, weight = _interior_faces(geom)
-    u = np.zeros(mesh.n_faces)
-    k1, k2 = mesh.face_cells[interior].T
-    mu = np.asarray(mu, dtype=float)
-    u[interior] = measure * (mu[k1] - mu[k2]) / weight
+def condense_velocity(mu, graph: CellGraph) -> np.ndarray:
+    """Per-face normal velocity from the cell potentials: the two-point
+    formula on interior faces, 0 on the boundary."""
+    u = np.zeros(graph.interior.size)
+    u[graph.interior] = graph.velocity(np.asarray(mu, dtype=float))
     return u
 
 
@@ -105,8 +109,9 @@ def init_mixed_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> M
     if np.any(rho < 0):
         raise ValueError("initial density must be nonnegative")
     mu = potential_from_density(rho, m)
-    u = condense_velocity(mu, geom)
-    return MixedState(mesh=mesh, geom=geom, m=float(m), rho=rho, mu=mu, u=u)
+    graph = CellGraph(geom)
+    return MixedState(mesh=mesh, geom=geom, m=float(m), rho=rho, mu=mu, u=condense_velocity(mu, graph),
+                      graph=graph)
 
 
 def _dmu(rho, m):
@@ -138,8 +143,7 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     mesh, m, graph = state.mesh, state.m, state.graph
-    interior, measure, weight = _interior_faces(state.geom)
-    k1, k2 = mesh.face_cells[interior].T
+    k1, k2, measure, weight = graph.k1, graph.k2, graph.measure, graph.weight
     n, vol = mesh.n_cells, mesh.cell_volumes
     rho_prev = state.rho
     dt = float(dt)
@@ -153,7 +157,7 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
     coupled = np.zeros(n, dtype=bool)
     for it in range(2 * max_iter + 1):
         mu = potential_from_density(rho, m)
-        u_int = measure * (mu[k1] - mu[k2]) / weight
+        u_int = graph.velocity(mu)
         rhat = np.where(u_int >= 0, rho_prev[k1], rho_prev[k2])
         r = balance(rho, u_int, rhat)
         res = float(np.max(np.abs(r)))
@@ -161,9 +165,7 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
         if res <= NEWTON_TOL and (settled or np.max(np.abs(balance(rho, u_int, rhat_last))) <= NEWTON_TOL):
             if it == 0:
                 return replace(state, time=state.time + dt)
-            u = np.zeros(mesh.n_faces)
-            u[interior] = u_int
-            return replace(state, rho=rho, mu=mu, u=u, time=state.time + dt)
+            return replace(state, rho=rho, mu=mu, u=condense_velocity(mu, graph), time=state.time + dt)
         if it == 2 * max_iter:
             raise SolverError(f"mixed Newton did not converge in {it} iterations: "
                               f"residual {res:.3e} on {coupled.sum()} coupled cells")
@@ -185,13 +187,10 @@ def cfl_max_dt(state: MixedState):
     """Largest positivity-preserving step per cell, 1 / sum over outflow
     faces of |u . n_K| |E| / |K|, and its global minimum.  Cells without
     outflow report +inf."""
-    mesh = state.mesh
-    interior = mesh.interior_faces
-    k1, k2 = mesh.face_cells[interior].T
-    u = state.u[interior]
-    meas = mesh.face_measures[interior]
-    outflow = (np.bincount(k1, np.maximum(u, 0.0) * meas, mesh.n_cells)
-               + np.bincount(k2, np.maximum(-u, 0.0) * meas, mesh.n_cells))
+    mesh, graph = state.mesh, state.graph
+    u = state.u[graph.interior]
+    outflow = (np.bincount(graph.k1, np.maximum(u, 0.0) * graph.measure, mesh.n_cells)
+               + np.bincount(graph.k2, np.maximum(-u, 0.0) * graph.measure, mesh.n_cells))
     per_cell = np.full(mesh.n_cells, np.inf)
     with np.errstate(over="ignore"):
         np.divide(mesh.cell_volumes, outflow, out=per_cell, where=outflow > 0)

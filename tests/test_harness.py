@@ -99,6 +99,20 @@ class TestParseConfig:
         assert cli.main(["simulate", str(write_cfg(tmp_path, text))]) == 2
         assert f"Newton did not converge in {iterations} iterations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["logdensity", "mixed"])
+    @pytest.mark.parametrize("maxiter", [0, -3])
+    def test_newton_maxiter_below_one_rejected(self, tmp_path, scheme, maxiter):
+        text = MINIMAL.replace("logdensity", scheme) + f"newton_maxiter = {maxiter}\n"
+        with pytest.raises(ConfigError, match="newton_maxiter must be >= 1"):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("theta", ["1.5", "-0.1", "nan"])
+    def test_waiting_theta_outside_unit_interval(self, tmp_path, capsys, theta):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("barenblatt1d", "waiting") + f"theta = {theta}\n")
+        assert cli.main(["simulate", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: theta must lie in [0, 1]\n"
+        assert parse_config(cfg, {"theta": "1"}).theta == 1.0
+
     def test_missing_required(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(write_cfg(tmp_path, "scheme = mixed\nproblem = waiting\n"))
@@ -398,6 +412,8 @@ class TestOutputs:
         lines = path.read_text().splitlines()
         assert lines[0] == "level,N,dt,error_inner,order_inner,error_full,order_full"
         assert len(lines) == 3
+        assert lines[1:] == ["0,100,0.10000000000000001,0.01,,0.02,",
+                             "1,200,0.050000000000000003,0.0050000000000000001,1,0.01,1"]
 
     def test_vtk_two_line_cells(self, tmp_path):
         mesh = build_structured_mesh("interval", (0, 1), 2)
@@ -487,7 +503,7 @@ class TestCli:
     def test_converge(self, tmp_path, capsys):
         text = MINIMAL.replace("scheme = logdensity", "scheme = mixed")
         cfg = write_cfg(tmp_path, text + "dt = 0.1\nn = 50\nT = 0.5\n")
-        assert cli.main(["converge", str(cfg), "--levels", "2"]) == 0
+        assert cli.main(["converge", str(cfg), "-o", "levels=2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("level,N,dt")
         assert len(out) == 3

@@ -8,6 +8,7 @@ from pmefem.assembly import SolverError, spd_solve, velocity_lumped_weights
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.mesh import MeshError, build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import (
+    CellGraph,
     MixedState,
     _dmu,
     _newton_update,
@@ -23,10 +24,11 @@ from pmefem.problems import barenblatt, get_problem, merging_gaussians
 
 def state_from_rho(mesh, rho, m=2.0):
     geom = compute_edge_geometry(mesh)
+    graph = CellGraph(geom)
     rho = np.asarray(rho, float)
     mu = potential_from_density(rho, m)
-    u = condense_velocity(mu, geom)
-    return MixedState(mesh=mesh, geom=geom, m=m, rho=rho, mu=mu, u=u)
+    u = condense_velocity(mu, graph)
+    return MixedState(mesh=mesh, geom=geom, m=m, rho=rho, mu=mu, u=u, graph=graph)
 
 
 class TestInit:
@@ -60,14 +62,14 @@ class TestCondensation:
     def test_equal_potentials_no_flow(self):
         mesh = build_structured_mesh("interval", (0, 2), 2)
         geom = compute_edge_geometry(mesh)
-        u = condense_velocity(np.array([1.3, 1.3]), geom)
+        u = condense_velocity(np.array([1.3, 1.3]), CellGraph(geom))
         assert u == pytest.approx(np.zeros(3))
 
     def test_1d_hand_value(self):
         # uniform h=1: interior node weight 1, |E|=1, mu=(2,0) -> u=2
         mesh = build_structured_mesh("interval", (0, 2), 2)
         geom = compute_edge_geometry(mesh)
-        u = condense_velocity(np.array([2.0, 0.0]), geom)
+        u = condense_velocity(np.array([2.0, 0.0]), CellGraph(geom))
         interior = int(np.flatnonzero(mesh.interior_faces)[0])
         assert u[interior] == pytest.approx(2.0)
 
@@ -75,15 +77,17 @@ class TestCondensation:
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (3, 3))
         geom = compute_edge_geometry(mesh)
         rng = np.random.default_rng(0)
-        u = condense_velocity(rng.uniform(0, 2, mesh.n_cells), geom)
+        u = condense_velocity(rng.uniform(0, 2, mesh.n_cells), CellGraph(geom))
         assert np.all(u[~mesh.interior_faces] == 0.0)
 
     def test_nonstrict_mesh_rejected(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         mesh = make_mesh(verts, [(0, 1, 2), (0, 2, 3)], "triangle")  # right angles
         geom = compute_edge_geometry(mesh)
-        with pytest.raises(MeshError):
-            condense_velocity(np.array([1.0, 0.0]), geom)
+        with pytest.raises(MeshError, match="not strictly Delaunay"):
+            CellGraph(geom)
+        with pytest.raises(MeshError, match="not strictly Delaunay"):
+            init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
 
     def test_consistency_on_acute_triangles(self):
         # the aggregated cotangent weight equals (circumcenter distance)/|E|,
@@ -98,10 +102,21 @@ class TestCondensation:
             rhs = np.array([B @ B - A @ A, C @ C - A @ A])
             cc[ci] = np.linalg.solve(lhs, rhs)
         mu = 2.0 * cc[:, 0]                         # grad(mu) = (2, 0)
-        u = condense_velocity(mu, geom)
+        u = condense_velocity(mu, CellGraph(geom))
         interior = mesh.interior_faces
         expected = -2.0 * mesh.face_normals[interior, 0]
         assert u[interior] == pytest.approx(expected, abs=1e-10)
+
+
+class TestCellGraph:
+    def test_face_table_built_once_per_run(self, monkeypatch):
+        calls = []
+        weights = mixed.velocity_lumped_weights
+        monkeypatch.setattr(mixed, "velocity_lumped_weights", lambda *args: calls.append(1) or weights(*args))
+        cfg = RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=5e-3, counts=(8, 8))
+        _, records = run_simulation(cfg)
+        assert len(records) == 5
+        assert len(calls) == 1
 
 
 class TestUpwind:
@@ -171,7 +186,7 @@ class TestStep:
         st = init_mixed_state(mesh, lambda pts: barenblatt(pts, 0.0, 2, 1.0, 2), 2.0)
         new = step_mixed(st, 0.05)
         geom = compute_edge_geometry(mesh)
-        assert new.u == pytest.approx(condense_velocity(new.mu, geom), abs=1e-12)
+        assert new.u == pytest.approx(condense_velocity(new.mu, CellGraph(geom)), abs=1e-12)
         assert new.mu == pytest.approx(potential_from_density(new.rho, 2.0), rel=1e-12)
 
     def test_nonpositive_dt(self):
