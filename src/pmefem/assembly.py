@@ -2,8 +2,8 @@
 
 Provides the lumped P1 mass vector, the two nonlinear-coefficient stiffness
 variants (edge-based with harmonic coefficient averages, and vertex
-quadrature), the lumped face weights for the mixed velocity mass, and a
-SPD solve on the shared graph operator.
+quadrature), both built on the constant-coefficient P1 element stiffness,
+and a SPD solve on the shared graph operator.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .mesh import INTERVAL, QUAD, TRIANGLE, EdgeGeometry, Mesh
+from .mesh import INTERVAL, QUAD, TRIANGLE, Mesh
 
 
 class SolverError(RuntimeError):
@@ -29,18 +29,16 @@ class GraphOperator:
     """Fixed CSR pattern of a weighted graph Laplacian plus a diagonal, built
     once per mesh on vertices (log-density) or cells (mixed) and carried on
     the state.  It holds every diagonal entry and both directions of every
-    edge, sorted.  ``cell_edge``/``face_edge`` map the given node pairs to
-    edges, so a numeric refill is a ``np.bincount``."""
+    edge, sorted.  ``pair_edge`` maps the given node pairs to edges, so a
+    numeric refill is a ``np.bincount``."""
 
-    def __init__(self, n, cell_pairs=(), face_pairs=()):
-        cell_pairs = np.asarray(cell_pairs, dtype=np.intp).reshape(-1, 2)
-        face_pairs = np.asarray(face_pairs, dtype=np.intp).reshape(-1, 2)
-        pairs = np.concatenate([cell_pairs, face_pairs])
+    def __init__(self, n, pairs):
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
         if np.any(lo == hi) or lo.min(initial=0) < 0 or hi.max(initial=-1) >= n:
             raise ValueError("graph pairs must join two distinct nodes in range")
         self.n = n = int(n)
-        keys, pair_edge = np.unique(lo * n + hi, return_inverse=True)
+        keys, self.pair_edge = np.unique(lo * n + hi, return_inverse=True)
         self.ei, self.ej = keys // n, keys % n
         self.n_edges = ne = len(keys)
         rows = np.concatenate([self.ei, self.ej, np.arange(n)])
@@ -51,8 +49,6 @@ class GraphOperator:
         self.upper, self.lower, self.diag = pos[:ne], pos[ne:2 * ne], pos[2 * ne:]
         self.rows, self.indices, self.nnz = rows[order], cols[order], order.size
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
-        self.cell_edge = pair_edge[:len(cell_pairs)]
-        self.face_edge = pair_edge[len(cell_pairs):]
 
     def laplacian(self, weights) -> "GraphMatrix":
         """sum_e w_e (e_i - e_j)(e_i - e_j)^T for one weight per edge; the
@@ -111,21 +107,24 @@ class GraphMatrix:
 
 
 class VertexGraph(GraphOperator):
-    """Vertex graph of the log-density stiffness: cell-local pairs, and as
-    face pairs the edges of the edge-based operator (none on quads).
-    ``cell_stiffness`` holds the constant element stiffness entries of the
-    cell-local pairs, computed once on first use."""
+    """Vertex graph of the log-density stiffness, one pair per two vertices
+    of a cell.  Computed once on first use: ``cell_stiffness``, the constant
+    element stiffness entries of those pairs, and ``edge_weight``, their sum
+    -A_ij per edge (the cotangent weight on triangles, 1/h on intervals)."""
 
     def __init__(self, mesh: Mesh):
         iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
-        cell_pairs = np.stack([mesh.cells[:, iu], mesh.cells[:, ju]], axis=-1)
-        super().__init__(mesh.n_vertices, cell_pairs, () if mesh.cell_kind == QUAD else _edge_pairs(mesh))
+        super().__init__(mesh.n_vertices, np.stack([mesh.cells[:, iu], mesh.cells[:, ju]], axis=-1))
         self.mesh = mesh
 
     @cached_property
     def cell_stiffness(self):
         iu, ju = np.triu_indices(self.mesh.cells.shape[1], 1)
         return element_stiffness(self.mesh)[:, iu, ju]
+
+    @cached_property
+    def edge_weight(self):
+        return -np.bincount(self.pair_edge, self.cell_stiffness.ravel(), self.n_edges)
 
 
 def lumped_mass(mesh: Mesh) -> np.ndarray:
@@ -161,30 +160,21 @@ def harmonic_edge_average(u_i, u_j, m):
     return float(out) if out.ndim == 0 else out
 
 
-def _edge_pairs(mesh: Mesh):
-    """Vertex pairs of the edge-based operator: the mesh faces in 2D, the
-    cells themselves in 1D."""
-    return mesh.faces if mesh.cell_kind == TRIANGLE else mesh.cells
-
-
-def stiffness_edge_based(mesh: Mesh, geom: EdgeGeometry, u_prev, m, active=None,
+def stiffness_edge_based(mesh: Mesh, u_prev, m, active=None,
                          graph: VertexGraph | None = None) -> GraphMatrix:
-    """Edge-based diffusion operator sum_E omega_E * gamma_E * (e_i - e_j)(e_i - e_j)^T
-    with gamma_E the harmonic coefficient average, omega_E the aggregated
-    cotangent weight in 2D and 1/h in 1D.  Edges with an inactive endpoint
-    get weight zero (their harmonic average vanishes)."""
+    """Edge-based diffusion operator sum_E w_E * gamma_E * (e_i - e_j)(e_i - e_j)^T
+    with gamma_E the harmonic coefficient average and w_E = -A_ij the edge
+    weight of the constant-coefficient P1 stiffness.  Edges with an inactive
+    endpoint get weight zero (their harmonic average vanishes)."""
     if mesh.cell_kind == QUAD:
         raise ValueError("edge-based stiffness is simplex-specific; quads unsupported")
     graph = graph or VertexGraph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
-    pairs = _edge_pairs(mesh)
-    vi, vj = pairs[:, 0], pairs[:, 1]
-    w = geom.omega if mesh.cell_kind == TRIANGLE else 1.0 / mesh.cell_volumes
-    w = w * harmonic_edge_average(u_prev[vi], u_prev[vj], m)
+    w = graph.edge_weight * harmonic_edge_average(u_prev[graph.ei], u_prev[graph.ej], m)
     if active is not None:
         keep = np.asarray(active, dtype=bool)
-        w = np.where(keep[vi] & keep[vj], w, 0.0)
-    return graph.laplacian(np.bincount(graph.face_edge, w, graph.n_edges))
+        w = np.where(keep[graph.ei] & keep[graph.ej], w, 0.0)
+    return graph.laplacian(w)
 
 
 def element_stiffness(mesh: Mesh) -> np.ndarray:
@@ -225,23 +215,7 @@ def stiffness_vertex_quadrature(mesh: Mesh, u_prev, m, active=None,
         gamma = np.where(np.asarray(active, dtype=bool), gamma, 0.0)
     coeff = gamma[mesh.cells].mean(axis=1)
     off = graph.cell_stiffness * coeff[:, None]
-    return graph.laplacian(-np.bincount(graph.cell_edge, off.ravel(), graph.n_edges))
-
-
-def velocity_lumped_weights(mesh: Mesh, geom: EdgeGeometry) -> np.ndarray:
-    """Diagonal weights of the lumped velocity mass matrix, per face, in the
-    normal-component convention: the lumped rule reads sum_E w_E (u.n_E)^2.
-
-    The cotangent weights lump the integrated face flux |E| u.n_E (they are
-    dimensionless, and the constant-field identity
-    int_K |u|^2 = sum_E (1/2) cot(theta) (|E| u.n_E)^2 holds exactly), so on
-    triangles they convert to component weights by a factor |E|^2.  Quad and
-    interval weights |K|/2 are already component weights."""
-    if geom.mesh is not mesh:
-        raise ValueError("geometry belongs to a different mesh")
-    if mesh.cell_kind == TRIANGLE:
-        return geom.omega * mesh.face_measures**2
-    return geom.omega.copy()
+    return graph.laplacian(-np.bincount(graph.pair_edge, off.ravel(), graph.n_edges))
 
 
 #: Jacobi-PCG iterations allowed before the direct fallback

@@ -154,6 +154,10 @@ def config_from_strings(raw: dict) -> RunConfig:
         raise ConfigError("'variant' applies to the log-density scheme only")
     if values["scheme"] == "logdensity" and "cfl_autohalve" in values:
         raise ConfigError("'cfl_autohalve' applies to the mixed scheme only")
+    if "s0" in values and not values["problem"].startswith("barenblatt"):
+        raise ConfigError("'s0' applies to the Barenblatt problems only")
+    if "theta" in values and values["problem"] != "waiting":
+        raise ConfigError("'theta' applies to the waiting problem only")
 
     cfg = RunConfig(
         scheme=values.pop("scheme"),
@@ -185,6 +189,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("cadence, levels and newton_maxiter must be >= 1")
     if cfg.problem == "waiting" and not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError("theta must lie in [0, 1]")
+    if cfg.s0 is not None and not 0.0 < cfg.s0 < math.inf:
+        raise ConfigError("s0 must be positive and finite")
 
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if not cfg.mesh_kind:
@@ -292,7 +298,7 @@ def convergence_order(errors, ratio: float = 2.0):
 def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
     """Vertex (log-density) or cell (mixed) used to monitor the interface in
     waiting-time runs; ties between two cells break toward the outside."""
-    if problem.waiting is None or problem.front is None:
+    if problem.waiting is None:
         return None
     x0 = problem.front(0.0)
     if scheme == "logdensity":
@@ -305,10 +311,9 @@ def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
 
 
 def _init_state(cfg: RunConfig, problem: ProblemSpec, mesh: Mesh):
-    geom = compute_edge_geometry(mesh)
     if cfg.scheme == "logdensity":
-        return ld.init_log_state(mesh, problem.rho0, cfg.m, geom=geom)
-    return mx.init_mixed_state(mesh, problem.rho0, cfg.m, geom=geom)
+        return ld.init_log_state(mesh, problem.rho0, cfg.m)
+    return mx.init_mixed_state(mesh, problem.rho0, cfg.m, geom=compute_edge_geometry(mesh))
 
 
 def _record(cfg, state, step, tracked, cfl_bound=None):
@@ -407,6 +412,11 @@ def run_convergence(cfg: RunConfig):
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution for error studies")
     inner = problem.inner_region or problem.domain
+    lo, hi = np.asarray(cfg.domain, dtype=float).reshape(-1, 2).T
+    inner_lo, inner_hi = np.asarray(inner, dtype=float).reshape(-1, 2).T
+    if np.any((hi <= inner_lo) | (inner_hi <= lo)):
+        raise ConfigError(f"domain {cfg.domain} does not overlap the inner region {inner} "
+                          f"of problem {cfg.problem!r}")
 
     def one_level(level):
         lcfg = _level_config(cfg, level)

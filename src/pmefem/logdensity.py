@@ -27,7 +27,7 @@ from .assembly import (
     stiffness_edge_based,
     stiffness_vertex_quadrature,
 )
-from .mesh import EdgeGeometry, Mesh, compute_edge_geometry
+from .mesh import Mesh
 
 #: log value stored at inactive vertices (also the floor of the VTK export)
 LOG_FLOOR = -50.0
@@ -51,7 +51,6 @@ class LogDensityState:
     built on construction when not given and passed on by every step."""
 
     mesh: Mesh
-    geom: EdgeGeometry
     m: float
     u: np.ndarray
     active: np.ndarray
@@ -70,7 +69,7 @@ class LogDensityState:
         return float(self.lumped @ self.density())
 
 
-def init_log_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> LogDensityState:
+def init_log_state(mesh: Mesh, rho0, m) -> LogDensityState:
     """Interpolate pointwise initial density at the vertices.  Vertices with
     exactly zero density start inactive; any positive value, however small,
     stays active (no premature cutoff at initialization)."""
@@ -82,9 +81,7 @@ def init_log_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> Log
     active = rho > 0
     u = np.full(mesh.n_vertices, LOG_FLOOR)
     u[active] = np.log(rho[active])
-    if geom is None:
-        geom = compute_edge_geometry(mesh)
-    return LogDensityState(mesh=mesh, geom=geom, m=float(m), u=u, active=active, lumped=lumped_mass(mesh))
+    return LogDensityState(mesh=mesh, m=float(m), u=u, active=active, lumped=lumped_mass(mesh))
 
 
 class StepSystem:
@@ -100,11 +97,8 @@ class StepSystem:
         self.dt = float(dt)
         self.variant = variant
         self.M = state.lumped
-        coefficient = (state.u, state.m, state.active, state.graph)
-        if variant == "edge":
-            self.A = stiffness_edge_based(state.mesh, state.geom, *coefficient)
-        else:
-            self.A = stiffness_vertex_quadrature(state.mesh, *coefficient)
+        stiffness = stiffness_edge_based if variant == "edge" else stiffness_vertex_quadrature
+        self.A = stiffness(state.mesh, state.u, state.m, state.active, state.graph)
         self.dtA = self.A.scaled(self.dt)
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev

@@ -8,6 +8,7 @@ what the mixed scheme's signed face fluxes are defined against.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,9 @@ def _orient_cells(vertices, cells, kind):
     return cells
 
 
+#: vertices per cell of each cell kind
+_CELL_SIZE = {INTERVAL: 2, TRIANGLE: 3, QUAD: 4}
+
 _LOCAL_FACES = {
     INTERVAL: ((0,), (1,)),
     TRIANGLE: ((0, 1), (1, 2), (2, 0)),
@@ -119,7 +123,7 @@ _LOCAL_FACES = {
 
 def make_mesh(vertices, cells, kind) -> Mesh:
     """Assemble a :class:`Mesh` from raw vertex/cell arrays, building faces."""
-    if kind not in (INTERVAL, TRIANGLE, QUAD):
+    if kind not in _CELL_SIZE:
         raise MeshError(f"unknown cell kind {kind!r}")
     vertices = np.asarray(vertices, dtype=float)
     if vertices.ndim == 1:
@@ -128,7 +132,7 @@ def make_mesh(vertices, cells, kind) -> Mesh:
     if vertices.shape[1] != dim:
         raise MeshError(f"{kind} mesh needs {dim}-d vertices, got {vertices.shape[1]}-d")
     cells = np.asarray(cells, dtype=np.intp)
-    expected = {INTERVAL: 2, TRIANGLE: 3, QUAD: 4}[kind]
+    expected = _CELL_SIZE[kind]
     if cells.ndim != 2 or cells.shape[1] != expected:
         raise MeshError(f"{kind} cells need {expected} vertices per cell")
     if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
@@ -337,17 +341,34 @@ def write_mesh(mesh: Mesh, path) -> None:
         np.savetxt(f, mesh.cells, fmt="%d")
 
 
+def _read_block(f, rows, cols, dtype, what):
+    """The next ``rows`` lines of ``f``, ``cols`` numbers each."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # loadtxt warns on an empty block; the shape check reports it
+        try:
+            block = np.loadtxt(f, dtype=dtype, max_rows=rows, ndmin=2)
+        except ValueError as exc:
+            raise MeshError(f"bad {what} block: {exc}") from exc
+    if block.shape != (rows, cols):
+        raise MeshError(f"{what} block must be {rows} rows of {cols} numbers, got shape {block.shape}")
+    return block
+
+
 def read_mesh(path) -> Mesh:
+    """Read the format of :func:`write_mesh`; a malformed file raises MeshError."""
     with open(path, encoding="utf-8") as f:
         tokens = f.readline().split()
-        if len(tokens) != 4:
-            raise MeshError("mesh header must be 'dim ncells nverts kind'")
-        dim, ncells, nverts = int(tokens[0]), int(tokens[1]), int(tokens[2])
+        try:
+            dim, ncells, nverts = (int(t) for t in tokens[:3])
+        except ValueError:
+            tokens = ()
+        if len(tokens) != 4 or min(ncells, nverts) < 1:
+            raise MeshError("mesh header must be 'dim ncells nverts kind' with positive counts")
         kind = tokens[3]
-        if kind not in (INTERVAL, TRIANGLE, QUAD):
+        if kind not in _CELL_SIZE:
             raise MeshError(f"unknown cell kind {kind!r}")
         if dim != (1 if kind == INTERVAL else 2):
             raise MeshError(f"dimension {dim} inconsistent with kind {kind!r}")
-        verts = np.array([[float(x) for x in f.readline().split()] for _ in range(nverts)])
-        cells = [[int(x) for x in f.readline().split()] for _ in range(ncells)]
+        verts = _read_block(f, nverts, dim, float, "vertex")
+        cells = _read_block(f, ncells, _CELL_SIZE[kind], np.intp, "cell")
     return make_mesh(verts, cells, kind)

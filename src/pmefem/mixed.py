@@ -28,9 +28,23 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import NEWTON_TOL, GraphOperator, SolverError, velocity_lumped_weights
+from .assembly import NEWTON_TOL, GraphOperator, SolverError
 from .assembly import spd_solve as spsolve
-from .mesh import EdgeGeometry, Mesh, MeshError, compute_edge_geometry, is_delaunay
+from .mesh import TRIANGLE, EdgeGeometry, Mesh, MeshError, compute_edge_geometry, is_delaunay
+
+
+def velocity_lumped_weights(geom: EdgeGeometry) -> np.ndarray:
+    """Diagonal weights of the lumped velocity mass matrix, per face, in the
+    normal-component convention: the lumped rule reads sum_E w_E (u.n_E)^2.
+
+    The cotangent weights lump the integrated face flux |E| u.n_E (they are
+    dimensionless, and the constant-field identity
+    int_K |u|^2 = sum_E (1/2) cot(theta) (|E| u.n_E)^2 holds exactly), so on
+    triangles they convert to component weights by a factor |E|^2.  Quad and
+    interval weights |K|/2 are already component weights."""
+    if geom.mesh.cell_kind == TRIANGLE:
+        return geom.omega * geom.mesh.face_measures**2
+    return geom.omega.copy()
 
 
 class CellGraph(GraphOperator):
@@ -46,10 +60,10 @@ class CellGraph(GraphOperator):
         mesh = geom.mesh
         self.interior = mesh.interior_faces
         pairs = mesh.face_cells[self.interior]
-        super().__init__(mesh.n_cells, face_pairs=pairs)
+        super().__init__(mesh.n_cells, pairs)
         self.k1, self.k2 = pairs.T
         self.measure = mesh.face_measures[self.interior]
-        self.weight = velocity_lumped_weights(mesh, geom)[self.interior]
+        self.weight = velocity_lumped_weights(geom)[self.interior]
 
     def velocity(self, mu):
         """Interior-face velocities u_E = |E| (mu_k1 - mu_k2) / w_E."""
@@ -68,7 +82,6 @@ class MixedState:
     """
 
     mesh: Mesh
-    geom: EdgeGeometry
     m: float
     rho: np.ndarray
     mu: np.ndarray
@@ -78,7 +91,7 @@ class MixedState:
 
     def __post_init__(self):
         if self.graph is None:
-            object.__setattr__(self, "graph", CellGraph(self.geom))
+            object.__setattr__(self, "graph", CellGraph(compute_edge_geometry(self.mesh)))
 
     def total_mass(self) -> float:
         return float(self.mesh.cell_volumes @ self.rho)
@@ -110,8 +123,7 @@ def init_mixed_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> M
         raise ValueError("initial density must be nonnegative")
     mu = potential_from_density(rho, m)
     graph = CellGraph(geom)
-    return MixedState(mesh=mesh, geom=geom, m=float(m), rho=rho, mu=mu, u=condense_velocity(mu, graph),
-                      graph=graph)
+    return MixedState(mesh=mesh, m=float(m), rho=rho, mu=mu, u=condense_velocity(mu, graph), graph=graph)
 
 
 def _dmu(rho, m):
@@ -172,7 +184,7 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
 
         # Newton step with frozen upwind directions
         g = dt * rhat * measure**2 / weight
-        delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
+        delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
                                         _dmu(rho, m), vol, r)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")

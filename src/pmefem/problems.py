@@ -126,12 +126,10 @@ def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
         raise ValueError("the schemes require m > 1")
     if name == "barenblatt1d":
         s0 = 3.0 if s0 is None else float(s0)
-        k = 1.0 / (m + 1.0)
         return ProblemSpec(
             name=name, dim=1, domain=(-10.0, 10.0), m=m,
             rho0=lambda pts: barenblatt(pts[:, 0], 0.0, m, s0, 1),
             exact=lambda pts, t: barenblatt(pts[:, 0], t, m, s0, 1),
-            front=lambda t: math.sqrt(2.0 * m * s0 / (k * (m - 1.0))) * (t + 1.0) ** k,
             inner_region=(-5.0, 5.0),
             default_mesh="interval", default_counts=(100,),
         )

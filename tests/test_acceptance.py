@@ -121,7 +121,7 @@ def test_criterion_5_invariant_suite():
         # log-density: mass, energy, bound preservation, uniform fixed point
         variants = ("vertex",) if mesh.cell_kind == "quad" else ("vertex", "edge")
         for variant in variants:
-            st = LogDensityState(mesh=mesh, geom=geom, m=2.0, u=u0.copy(),
+            st = LogDensityState(mesh=mesh, m=2.0, u=u0.copy(),
                                  active=np.ones(mesh.n_vertices, bool),
                                  lumped=lumped_mass(mesh))
             mass0, energy = st.total_mass(), entropy_energy(st)
@@ -139,7 +139,7 @@ def test_criterion_5_invariant_suite():
                     if lo2 < lo - 1e-9 or hi2 > hi + 1e-9:
                         failures.append(f"LD bound violation on {name}")
                     lo, hi = lo2, hi2
-        ust = LogDensityState(mesh=mesh, geom=geom, m=2.0,
+        ust = LogDensityState(mesh=mesh, m=2.0,
                               u=np.full(mesh.n_vertices, 0.4),
                               active=np.ones(mesh.n_vertices, bool),
                               lumped=lumped_mass(mesh))
@@ -174,19 +174,18 @@ def test_criterion_6_oracle_equivalences():
     failures = []
     # constant-coefficient equivalence against direct assembly
     for name, mesh in _mesh_suite().items():
-        geom = compute_edge_geometry(mesh)
         oracle = p1_stiffness_oracle(mesh, coeff=2.0)
         vertex = stiffness_vertex_quadrature(mesh, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
         if np.max(np.abs(vertex - oracle)) > 1e-12:
             failures.append(f"vertex stiffness mismatch on {name}")
         if mesh.cell_kind != "quad":
-            edge = stiffness_edge_based(mesh, geom, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
+            edge = stiffness_edge_based(mesh, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
             if np.max(np.abs(edge - oracle)) > 1e-12:
                 failures.append(f"edge stiffness mismatch on {name}")
 
     # log-density 2-node micro-step against the bisection oracle
     mesh1 = build_structured_mesh("interval", (0, 1), 1)
-    st = LogDensityState(mesh=mesh1, geom=compute_edge_geometry(mesh1), m=2.0,
+    st = LogDensityState(mesh=mesh1, m=2.0,
                          u=np.array([0.0, np.log(2.0)]),
                          active=np.ones(2, bool), lumped=lumped_mass(mesh1))
     new = step_logdensity(st, 0.01, variant="vertex")

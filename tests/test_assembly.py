@@ -15,10 +15,10 @@ from pmefem.assembly import (
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
-    velocity_lumped_weights,
+
 )
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
-from pmefem.mixed import init_mixed_state
+from pmefem.mixed import init_mixed_state, velocity_lumped_weights
 
 
 def p1_stiffness_oracle(mesh, coeff=1.0):
@@ -115,10 +115,9 @@ class TestStiffness:
     @pytest.mark.parametrize("name", ["interval", "triangle", "acute"])
     def test_constant_coefficient_equivalence(self, name):
         m = MESHES[name]()
-        geom = compute_edge_geometry(m)
         u0 = np.zeros(m.n_vertices)
         oracle = p1_stiffness_oracle(m, coeff=2.0)  # gamma = m*exp(0) = 2
-        edge = stiffness_edge_based(m, geom, u0, 2.0).tocsr().toarray()
+        edge = stiffness_edge_based(m, u0, 2.0).tocsr().toarray()
         vertex = stiffness_vertex_quadrature(m, u0, 2.0).tocsr().toarray()
         assert np.max(np.abs(edge - oracle)) < 1e-12
         assert np.max(np.abs(vertex - oracle)) < 1e-12
@@ -131,15 +130,13 @@ class TestStiffness:
 
     def test_edge_rejects_quads(self):
         m = MESHES["quad"]()
-        geom = compute_edge_geometry(m)
         with pytest.raises(ValueError):
-            stiffness_edge_based(m, geom, np.zeros(m.n_vertices), 2.0)
+            stiffness_edge_based(m, np.zeros(m.n_vertices), 2.0)
 
     def test_1d_single_element_values(self):
         m = build_structured_mesh("interval", (0, 1), 1)
-        geom = compute_edge_geometry(m)
         u = np.array([0.0, np.log(2)])
-        edge = stiffness_edge_based(m, geom, u, 2.0).tocsr().toarray()
+        edge = stiffness_edge_based(m, u, 2.0).tocsr().toarray()
         assert edge[0, 1] == pytest.approx(-3.6967849, rel=1e-6)
         vertex = stiffness_vertex_quadrature(m, u, 2.0).tocsr().toarray()
         assert vertex[0, 1] == pytest.approx(-5.0)  # -(2 + 8)/2
@@ -153,7 +150,7 @@ class TestStiffness:
         rng = np.random.default_rng(7)
         u = rng.normal(size=m.n_vertices)
         if variant == "edge":
-            A = stiffness_edge_based(m, compute_edge_geometry(m), u, 2.0)
+            A = stiffness_edge_based(m, u, 2.0)
         else:
             A = stiffness_vertex_quadrature(m, u, 2.0)
         assert np.max(np.abs(A.tocsr().sum(axis=1).A1)) < 1e-12
@@ -165,7 +162,7 @@ class TestStiffness:
         u = rng.normal(scale=0.5, size=m.n_vertices)
         mats = [stiffness_vertex_quadrature(m, u, 2.0)]
         if m.cell_kind != "quad":
-            mats.append(stiffness_edge_based(m, compute_edge_geometry(m), u, 2.0))
+            mats.append(stiffness_edge_based(m, u, 2.0))
         for A in mats:
             for _ in range(10):
                 x = rng.normal(size=m.n_vertices)
@@ -174,13 +171,12 @@ class TestStiffness:
     @pytest.mark.parametrize("variant", ["edge", "vertex"])
     def test_shift_scales_exponentially(self, variant):
         m = MESHES["triangle"]()
-        geom = compute_edge_geometry(m)
         rng = np.random.default_rng(11)
         u = rng.normal(scale=0.3, size=m.n_vertices)
         c, mexp = 0.7, 2.0
         if variant == "edge":
-            A0 = stiffness_edge_based(m, geom, u, mexp).tocsr().toarray()
-            A1 = stiffness_edge_based(m, geom, u + c, mexp).tocsr().toarray()
+            A0 = stiffness_edge_based(m, u, mexp).tocsr().toarray()
+            A1 = stiffness_edge_based(m, u + c, mexp).tocsr().toarray()
         else:
             A0 = stiffness_vertex_quadrature(m, u, mexp).tocsr().toarray()
             A1 = stiffness_vertex_quadrature(m, u + c, mexp).tocsr().toarray()
@@ -195,7 +191,7 @@ class TestStiffness:
         gamma = np.where(active, 2.0 * np.exp(2.0 * u), 0.0)
         off = assembly.element_stiffness(m)[:, iu, ju] * gamma[m.cells].mean(axis=1)[:, None]
         graph = VertexGraph(m)
-        expected = graph.laplacian(-np.bincount(graph.cell_edge, off.ravel(), graph.n_edges)).data
+        expected = graph.laplacian(-np.bincount(graph.pair_edge, off.ravel(), graph.n_edges)).data
         calls = []
         real = assembly.element_stiffness
         monkeypatch.setattr(assembly, "element_stiffness", lambda mesh: calls.append(1) or real(mesh))
@@ -206,12 +202,57 @@ class TestStiffness:
 
     def test_inactive_endpoints_drop_edges(self):
         m = build_structured_mesh("interval", (0, 1), 3)
-        geom = compute_edge_geometry(m)
         u = np.zeros(4)
         active = np.array([True, True, False, True])
-        A = stiffness_edge_based(m, geom, u, 2.0, active).tocsr().toarray()
+        A = stiffness_edge_based(m, u, 2.0, active).tocsr().toarray()
         assert A[2, :] == pytest.approx(0.0)
         assert A[0, 1] != 0.0
+
+
+class TestEdgeWeights:
+    """The edge variant's weights are -A_ij of the constant-coefficient P1
+    stiffness, summed over the cells of each edge."""
+
+    def test_right_angle_diagonals_are_exactly_zero(self):
+        # both angles opposite a diagonal of the structured split are right angles
+        m = build_structured_mesh("triangle", ((0, 1), (0, 1)), (4, 4))
+        u = np.random.default_rng(2).normal(size=m.n_vertices)
+        A = stiffness_edge_based(m, u, 2.0).tocsr()
+        d = m.vertices[m.faces[:, 1]] - m.vertices[m.faces[:, 0]]
+        diagonals = m.faces[(d[:, 0] != 0) & (d[:, 1] != 0)]
+        assert len(diagonals) == 16
+        assert all(A[i, j] == 0.0 and A[j, i] == 0.0 for i, j in diagonals)
+
+    def test_intervals_get_one_over_h_bitwise(self):
+        xs = np.sort(np.random.default_rng(8).uniform(-1, 3, 12))
+        m = make_mesh(xs, np.column_stack([np.arange(11), np.arange(1, 12)]), "interval")
+        graph = VertexGraph(m)
+        assert np.array_equal(np.column_stack([graph.ei, graph.ej]), m.cells)
+        assert np.array_equal(graph.edge_weight, 1.0 / m.cell_volumes)
+
+    @pytest.mark.parametrize("box,counts", [(((0, 1), (0, 1)), (4, 4)), (((-2, 2), (-1, 2)), (7, 5)),
+                                            (((-1, 1), (-1, 1)), (16, 16))])
+    def test_acute_weights_match_cotangent_weights(self, box, counts):
+        m = build_structured_mesh("acute_triangle", box, counts)
+        graph = VertexGraph(m)
+        omega = compute_edge_geometry(m).omega
+        ends = np.sort(m.faces, axis=1)
+        edge = np.searchsorted(graph.ei * m.n_vertices + graph.ej, ends[:, 0] * m.n_vertices + ends[:, 1])
+        assert graph.n_edges == m.n_faces
+        assert np.max(np.abs(graph.edge_weight[edge] - omega) / omega) <= 1e-15
+
+    def test_weights_computed_once_on_first_use(self, monkeypatch):
+        m = MESHES["acute"]()
+        calls = []
+        real = assembly.element_stiffness
+        monkeypatch.setattr(assembly, "element_stiffness", lambda mesh: calls.append(1) or real(mesh))
+        graph = VertexGraph(m)
+        assert calls == []
+        u = np.random.default_rng(9).normal(size=m.n_vertices)
+        first = stiffness_edge_based(m, u, 2.0, None, graph).data
+        for _ in range(2):
+            assert np.array_equal(stiffness_edge_based(m, u, 2.0, None, graph).data, first)
+        assert len(calls) == 1
 
 
 class TestVelocityWeights:
@@ -219,7 +260,7 @@ class TestVelocityWeights:
         h = 0.25
         m = build_structured_mesh("quad", ((0, 1), (0, 1)), (4, 4))
         g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(m, g)
+        w = velocity_lumped_weights(g)
         assert w[m.interior_faces] == pytest.approx(h * h)
 
     def test_two_equilateral_triangles(self):
@@ -227,7 +268,7 @@ class TestVelocityWeights:
         verts = [(0.0, 0.0), (1.0, 0.0), (0.5, s3), (0.5, -s3)]
         m = make_mesh(verts, [(0, 1, 2), (0, 3, 1)], "triangle")
         g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(m, g)
+        w = velocity_lumped_weights(g)
         shared = int(np.flatnonzero(m.interior_faces)[0])
         assert w[shared] == pytest.approx(1 / np.sqrt(3))  # unit edge: cot factor
 
@@ -235,23 +276,23 @@ class TestVelocityWeights:
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         m = make_mesh(verts, [(0, 1, 2)], "triangle")
         g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(m, g)
+        w = velocity_lumped_weights(g)
         hyp = [i for i, f in enumerate(m.faces) if set(f) == {1, 2}][0]
         assert w[hyp] == pytest.approx(0.0, abs=1e-14)
 
     def test_strict_delaunay_weights_positive(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (6, 6))
         g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(m, g)
+        w = velocity_lumped_weights(g)
         assert np.all(w[m.interior_faces] > 0)
 
 
 def graph_matrix(n, pairs, off, diag):
     """Symmetric matrix with off-diagonal entries `off` on `pairs` (summed
     per pair) and the given diagonal."""
-    op = GraphOperator(n, face_pairs=pairs)
+    op = GraphOperator(n, pairs)
     data = np.zeros(op.nnz)
-    data[op.upper] = data[op.lower] = np.bincount(op.face_edge, off, op.n_edges)
+    data[op.upper] = data[op.lower] = np.bincount(op.pair_edge, off, op.n_edges)
     data[op.diag] = diag
     return GraphMatrix(op.indptr, op.indices, op.rows, op.diag, data)
 
@@ -336,13 +377,13 @@ class TestSpdSolve:
 
 class TestGraphOperator:
     def test_exact_symmetry_and_pair_accumulation(self):
-        op = GraphOperator(3, cell_pairs=[(0, 1), (1, 0), (1, 2)])
+        op = GraphOperator(3, [(0, 1), (1, 0), (1, 2)])
         assert op.n_edges == 2
-        A = op.laplacian(np.bincount(op.cell_edge, [0.1, 0.2, 0.3], op.n_edges)).tocsr().toarray()
+        A = op.laplacian(np.bincount(op.pair_edge, [0.1, 0.2, 0.3], op.n_edges)).tocsr().toarray()
         assert np.array_equal(A, A.T)
         assert A[0, 1] == pytest.approx(-0.3)  # (0,1) and (1,0) accumulate together
         m, K, rng = stiffness_2d()
-        for B in (K, stiffness_edge_based(m, compute_edge_geometry(m), rng.normal(size=m.n_vertices), 3.0)):
+        for B in (K, stiffness_edge_based(m, rng.normal(size=m.n_vertices), 3.0)):
             arr = B.tocsr().toarray()
             assert np.array_equal(arr, arr.T)
 
@@ -367,7 +408,7 @@ class TestGraphOperator:
         active = np.ones(m.n_vertices, bool)
         active[::3] = False
         graph = VertexGraph(m)
-        A = stiffness_edge_based(m, compute_edge_geometry(m), np.zeros(m.n_vertices), 2.0, active, graph)
+        A = stiffness_edge_based(m, np.zeros(m.n_vertices), 2.0, active, graph)
         assert A.data.size == graph.nnz
         arr = A.tocsr().toarray()
         assert np.all(arr[~active][:, active] == 0.0)
@@ -378,7 +419,7 @@ class TestGraphOperator:
         pairs = m.face_cells[m.interior_faces]
         assert op.n_edges == len(pairs)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)
-        upper, lower = op.upper[op.face_edge], op.lower[op.face_edge]
+        upper, lower = op.upper[op.pair_edge], op.lower[op.pair_edge]
         assert np.array_equal(op.rows[upper], lo)
         assert np.array_equal(op.indices[upper], hi)
         assert np.array_equal(op.rows[lower], hi)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pmefem import cli
+from pmefem import cli, harness
 from pmefem import logdensity as ld
 from pmefem import mixed as mx
 from pmefem.assembly import NEWTON_TOL, GraphOperator, SolverError
@@ -112,6 +112,24 @@ class TestParseConfig:
         assert cli.main(["simulate", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: theta must lie in [0, 1]\n"
         assert parse_config(cfg, {"theta": "1"}).theta == 1.0
+
+    @pytest.mark.parametrize("problem,line", [("horseshoe", "s0 = 5"), ("waiting", "s0 = 1"),
+                                              ("horseshoe", "theta = 0.7"), ("barenblatt1d", "theta = 0")])
+    def test_data_keys_of_other_problems_rejected(self, tmp_path, capsys, problem, line):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("barenblatt1d", problem) + line + "\n")
+        assert cli.main(["simulate", str(cfg)]) == 2
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(f"error: '{key}' applies to the ")
+        with pytest.raises(ConfigError):
+            parse_config(write_cfg(tmp_path, MINIMAL.replace("barenblatt1d", problem)), {key: "0.5"})
+
+    @pytest.mark.parametrize("problem", ["barenblatt1d", "barenblatt2d"])
+    @pytest.mark.parametrize("s0", ["-1", "0", "nan", "inf"])
+    def test_s0_positive_and_finite(self, tmp_path, capsys, problem, s0):
+        cfg = write_cfg(tmp_path, MINIMAL.replace("barenblatt1d", problem) + f"s0 = {s0}\n")
+        assert cli.main(["simulate", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: s0 must be positive and finite\n"
+        assert parse_config(cfg, {"s0": "0.5"}).s0 == 0.5
 
     def test_missing_required(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -296,6 +314,19 @@ class TestRunSimulation:
         mesh = state.mesh
         assert built == [mesh.n_vertices, mesh.n_cells]
 
+    def test_only_mixed_runs_compute_edge_geometry(self, monkeypatch):
+        calls = []
+        real = harness.compute_edge_geometry
+        monkeypatch.setattr(harness, "compute_edge_geometry", lambda mesh: calls.append(mesh) or real(mesh))
+        for variant in ld.VARIANTS:
+            cfg = RunConfig(scheme="logdensity", problem="horseshoe", m=3.0, dt=1e-3, T=2e-3,
+                            counts=(8, 8), variant=variant)
+            run_simulation(cfg)
+        assert calls == []
+        state, _ = run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=2e-3,
+                                            counts=(8, 8)))
+        assert calls == [state.mesh]
+
     def test_solver_failure_carries_step_index(self):
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
                         dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
@@ -479,6 +510,21 @@ class TestRunConvergence:
         assert rows[1].error_inner < rows[0].error_inner
         assert rows[1].N == "100"
 
+    @pytest.mark.parametrize("domain", ["20 30", "5 10", "-30 -5"])
+    def test_domain_missing_inner_region_rejected_before_any_level(self, tmp_path, capsys, monkeypatch, domain):
+        runs = []
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))
+        text = MINIMAL.replace("scheme = logdensity", "scheme = mixed") + f"n = 10\ndomain = {domain}\n"
+        assert cli.main(["converge", str(write_cfg(tmp_path, text)), "-o", "levels=1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: domain (") and "inner region (-5.0, 5.0)" in err
+        assert runs == []
+
+    def test_domain_overlapping_inner_region_runs(self):
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2,
+                        counts=(20,), domain=(-6.0, 4.0), levels=1)
+        assert len(run_convergence(cfg)) == 1
+
     def test_no_exact_solution_rejected(self):
         cfg = RunConfig(scheme="logdensity", problem="gaussians", m=3.0,
                         dt=0.01, T=0.02)
@@ -527,6 +573,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: step 1")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 one 3 triangle\n", "mesh header"),
+        ("1 0 2 interval\n", "mesh header"),
+        ("1 2 3 interval\n0\n1\n", "vertex block must be 3 rows of 1 numbers"),
+        ("1 2 3 interval\n0\n1\n2\n0 1\n", "cell block must be 2 rows of 2 numbers"),
+        ("2 1 3 triangle\n0 0\n1\n0 1\n0 1 2\n", "bad vertex block"),
+        ("2 1 3 triangle\n0 0\n1 0\n0 1\n0 1\n", "cell block must be 1 rows of 3 numbers"),
+        ("1 1 2 interval\n0\nx\n0 1\n", "bad vertex block"),
+        ("1 1 2 interval\n0\n1\n0 1.5\n", "bad cell block"),
+    ])
+    def test_malformed_mesh_file_is_reported(self, tmp_path, capsys, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["mesh-info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
     def test_bad_mesh_file_is_reported(self, tmp_path, capsys):
         path = tmp_path / "m.txt"

@@ -18,14 +18,13 @@ from pmefem.logdensity import (
     row_solution,
     step_logdensity,
 )
-from pmefem.mesh import build_structured_mesh, compute_edge_geometry
+from pmefem.mesh import build_structured_mesh
 from pmefem.problems import barenblatt, get_problem
 
 
 def make_state(mesh, u, active=None, m=2.0):
-    geom = compute_edge_geometry(mesh)
     active = np.ones(mesh.n_vertices, bool) if active is None else active
-    return LogDensityState(mesh=mesh, geom=geom, m=m, u=np.asarray(u, float),
+    return LogDensityState(mesh=mesh, m=m, u=np.asarray(u, float),
                            active=active, lumped=lumped_mass(mesh))
 
 

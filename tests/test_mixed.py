@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pmefem import mixed
-from pmefem.assembly import SolverError, spd_solve, velocity_lumped_weights
+from pmefem.assembly import SolverError, spd_solve
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.mesh import MeshError, build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import (
@@ -18,6 +18,7 @@ from pmefem.mixed import (
     physical_energy,
     potential_from_density,
     step_mixed,
+    velocity_lumped_weights,
 )
 from pmefem.problems import barenblatt, get_problem, merging_gaussians
 
@@ -28,7 +29,7 @@ def state_from_rho(mesh, rho, m=2.0):
     rho = np.asarray(rho, float)
     mu = potential_from_density(rho, m)
     u = condense_velocity(mu, graph)
-    return MixedState(mesh=mesh, geom=geom, m=m, rho=rho, mu=mu, u=u, graph=graph)
+    return MixedState(mesh=mesh, m=m, rho=rho, mu=mu, u=u, graph=graph)
 
 
 class TestInit:
@@ -243,7 +244,7 @@ class TestCfl:
         u = st.u.copy()
         interior = int(np.flatnonzero(mesh.interior_faces)[0])
         u[interior] = 1.0   # |K|=1, |E|=1, one outflow face for the left cell
-        st = MixedState(mesh=mesh, geom=st.geom, m=st.m, rho=st.rho, mu=st.mu, u=u)
+        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u)
         per_cell, bound = cfl_max_dt(st)
         assert bound == pytest.approx(1.0)
 
@@ -257,7 +258,7 @@ class TestCfl:
         for f in touching:
             k1, _ = mesh.face_cells[f]
             u[f] = 1.0 if k1 == 1 else -1.0  # outflow from cell 1 on both faces
-        st = MixedState(mesh=mesh, geom=st.geom, m=st.m, rho=st.rho, mu=st.mu, u=u)
+        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u)
         per_cell, _ = cfl_max_dt(st)
         assert per_cell[1] == pytest.approx(0.5)
 
@@ -313,7 +314,7 @@ class TestNewtonUpdate:
         measure = mesh.face_measures[interior]
         mu = potential_from_density(rho, state.m)
         rhat = np.where(mu[k1] >= mu[k2], state.rho[k1], state.rho[k2])
-        g = dt * rhat * measure**2 / velocity_lumped_weights(mesh, state.geom)[interior]
+        g = dt * rhat * measure**2 / velocity_lumped_weights(compute_edge_geometry(mesh))[interior]
         dmu = _dmu(rho, state.m)
         jac = np.diag(mesh.cell_volumes)
         for a, b, ga in zip(k1, k2, g):
@@ -323,7 +324,7 @@ class TestNewtonUpdate:
             jac[b, b] += ga * dmu[b]
         r = np.random.default_rng(1).standard_normal(mesh.n_cells)
         graph = state.graph
-        delta, _ = _newton_update(graph.laplacian(np.bincount(graph.face_edge, g, graph.n_edges)),
+        delta, _ = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
                                   dmu, mesh.cell_volumes, r)
         assert np.all(np.isfinite(delta))
         assert np.linalg.norm(jac @ delta + r) <= 1e-11 * np.linalg.norm(r)
