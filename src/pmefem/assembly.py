@@ -107,15 +107,17 @@ class GraphMatrix:
 
 
 class VertexGraph(GraphOperator):
-    """Vertex graph of the log-density stiffness, one pair per two vertices
-    of a cell.  Computed once on first use: ``cell_stiffness``, the constant
-    element stiffness entries of those pairs, and ``edge_weight``, their sum
-    -A_ij per edge (the cotangent weight on triangles, 1/h on intervals)."""
+    """Per-mesh data of the log-density scheme: the vertex graph of its
+    stiffness, one pair per two vertices of a cell, and the ``lumped`` mass.
+    Computed once on first use: ``cell_stiffness``, the constant element
+    stiffness entries of those pairs, and ``edge_weight``, their sum -A_ij
+    per edge (the cotangent weight on triangles, 1/h on intervals)."""
 
     def __init__(self, mesh: Mesh):
         iu, ju = np.triu_indices(mesh.cells.shape[1], 1)
         super().__init__(mesh.n_vertices, np.stack([mesh.cells[:, iu], mesh.cells[:, ju]], axis=-1))
         self.mesh = mesh
+        self.lumped = lumped_mass(mesh)
 
     @cached_property
     def cell_stiffness(self):
@@ -160,21 +162,17 @@ def harmonic_edge_average(u_i, u_j, m):
     return float(out) if out.ndim == 0 else out
 
 
-def stiffness_edge_based(mesh: Mesh, u_prev, m, active=None,
-                         graph: VertexGraph | None = None) -> GraphMatrix:
+def stiffness_edge_based(graph: VertexGraph, u_prev, m, active) -> GraphMatrix:
     """Edge-based diffusion operator sum_E w_E * gamma_E * (e_i - e_j)(e_i - e_j)^T
     with gamma_E the harmonic coefficient average and w_E = -A_ij the edge
     weight of the constant-coefficient P1 stiffness.  Edges with an inactive
     endpoint get weight zero (their harmonic average vanishes)."""
-    if mesh.cell_kind == QUAD:
+    if graph.mesh.cell_kind == QUAD:
         raise ValueError("edge-based stiffness is simplex-specific; quads unsupported")
-    graph = graph or VertexGraph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
+    active = np.asarray(active, dtype=bool)
     w = graph.edge_weight * harmonic_edge_average(u_prev[graph.ei], u_prev[graph.ej], m)
-    if active is not None:
-        keep = np.asarray(active, dtype=bool)
-        w = np.where(keep[graph.ei] & keep[graph.ej], w, 0.0)
-    return graph.laplacian(w)
+    return graph.laplacian(np.where(active[graph.ei] & active[graph.ej], w, 0.0))
 
 
 def element_stiffness(mesh: Mesh) -> np.ndarray:
@@ -203,17 +201,13 @@ def element_stiffness(mesh: Mesh) -> np.ndarray:
     return np.multiply.outer(hy / hx, dx) + np.multiply.outer(hx / hy, dy)
 
 
-def stiffness_vertex_quadrature(mesh: Mesh, u_prev, m, active=None,
-                                graph: VertexGraph | None = None) -> GraphMatrix:
+def stiffness_vertex_quadrature(graph: VertexGraph, u_prev, m, active) -> GraphMatrix:
     """Stiffness with the coefficient m*exp(m*u_prev) averaged over each
     cell's vertices (nodal quadrature), times the exact constant-coefficient
     element stiffness.  Inactive vertices contribute zero coefficient."""
-    graph = graph or VertexGraph(mesh)
     u_prev = np.asarray(u_prev, dtype=float)
-    gamma = m * np.exp(m * u_prev)
-    if active is not None:
-        gamma = np.where(np.asarray(active, dtype=bool), gamma, 0.0)
-    coeff = gamma[mesh.cells].mean(axis=1)
+    gamma = np.where(np.asarray(active, dtype=bool), m * np.exp(m * u_prev), 0.0)
+    coeff = gamma[graph.mesh.cells].mean(axis=1)
     off = graph.cell_stiffness * coeff[:, None]
     return graph.laplacian(-np.bincount(graph.pair_edge, off.ravel(), graph.n_edges))
 

@@ -52,13 +52,13 @@ def _cmd_converge(args):
 
 def _cmd_mesh_info(args):
     mesh = read_mesh(args.meshfile)
-    geom = compute_edge_geometry(mesh)
+    omega = compute_edge_geometry(mesh)
     boundary = int((~mesh.interior_faces).sum())
     print(f"dim={mesh.dim} kind={mesh.cell_kind}")
     print(f"vertices={mesh.n_vertices} cells={mesh.n_cells} "
           f"faces={mesh.n_faces} boundary_faces={boundary}")
     print(f"volume={mesh.volume:.12g}")
-    print(f"delaunay={is_delaunay(geom)} strict_delaunay={is_delaunay(geom, strict=True)}")
+    print(f"delaunay={is_delaunay(mesh, omega)} strict_delaunay={is_delaunay(mesh, omega, strict=True)}")
     return 0
 
 

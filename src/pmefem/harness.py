@@ -177,6 +177,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
     if cfg.problem not in PROBLEM_NAMES:
         raise ConfigError(f"unknown problem {cfg.problem!r}; choose from {PROBLEM_NAMES}")
+    for key, value in (("m", cfg.m), ("dt", cfg.dt), ("T", cfg.T), ("domain", cfg.domain)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.m <= 1:
         raise ConfigError("m must be > 1 (m = 1 is the heat equation, not supported)")
     if cfg.dt <= 0:
@@ -313,7 +316,7 @@ def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
 def _init_state(cfg: RunConfig, problem: ProblemSpec, mesh: Mesh):
     if cfg.scheme == "logdensity":
         return ld.init_log_state(mesh, problem.rho0, cfg.m)
-    return mx.init_mixed_state(mesh, problem.rho0, cfg.m, geom=compute_edge_geometry(mesh))
+    return mx.init_mixed_state(mesh, problem.rho0, cfg.m, compute_edge_geometry(mesh))
 
 
 def _record(cfg, state, step, tracked, cfl_bound=None):
@@ -412,11 +415,12 @@ def run_convergence(cfg: RunConfig):
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution for error studies")
     inner = problem.inner_region or problem.domain
-    lo, hi = np.asarray(cfg.domain, dtype=float).reshape(-1, 2).T
-    inner_lo, inner_hi = np.asarray(inner, dtype=float).reshape(-1, 2).T
-    if np.any((hi <= inner_lo) | (inner_hi <= lo)):
-        raise ConfigError(f"domain {cfg.domain} does not overlap the inner region {inner} "
-                          f"of problem {cfg.problem!r}")
+    for level in range(cfg.levels):  # l2_error's region rule, before any level runs
+        lcfg = _level_config(cfg, level)
+        mesh = build_structured_mesh(lcfg.mesh_kind, lcfg.domain, lcfg.counts)
+        if not _region_mask(mesh, inner).any():
+            raise ConfigError(f"domain {cfg.domain} puts no cell barycenter in the inner region {inner} "
+                              f"of problem {cfg.problem!r} at level {level}")
 
     def one_level(level):
         lcfg = _level_config(cfg, level)

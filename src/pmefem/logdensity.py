@@ -22,7 +22,6 @@ from .assembly import (
     NEWTON_TOL,
     SolverError,
     VertexGraph,
-    lumped_mass,
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
@@ -47,26 +46,22 @@ ROW_NEWTON_STEPS = 6
 @dataclass(frozen=True)
 class LogDensityState:
     """Nodal log-density with its active mask; density is exp(u) where
-    active and exactly 0 elsewhere.  ``graph`` is the mesh's vertex graph,
-    built on construction when not given and passed on by every step."""
+    active and exactly 0 elsewhere.  ``graph`` is the mesh's vertex graph
+    with its lumped mass, built by :func:`init_log_state` and passed on by
+    every step."""
 
     mesh: Mesh
     m: float
     u: np.ndarray
     active: np.ndarray
+    graph: VertexGraph = field(repr=False)
     time: float = 0.0
-    lumped: np.ndarray = field(default=None, repr=False)
-    graph: VertexGraph = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.graph is None:
-            object.__setattr__(self, "graph", VertexGraph(self.mesh))
 
     def density(self) -> np.ndarray:
         return np.where(self.active, np.exp(self.u), 0.0)
 
     def total_mass(self) -> float:
-        return float(self.lumped @ self.density())
+        return float(self.graph.lumped @ self.density())
 
 
 def init_log_state(mesh: Mesh, rho0, m) -> LogDensityState:
@@ -81,7 +76,7 @@ def init_log_state(mesh: Mesh, rho0, m) -> LogDensityState:
     active = rho > 0
     u = np.full(mesh.n_vertices, LOG_FLOOR)
     u[active] = np.log(rho[active])
-    return LogDensityState(mesh=mesh, m=float(m), u=u, active=active, lumped=lumped_mass(mesh))
+    return LogDensityState(mesh=mesh, m=float(m), u=u, active=active, graph=VertexGraph(mesh))
 
 
 class StepSystem:
@@ -93,12 +88,10 @@ class StepSystem:
             raise ValueError(f"unknown stiffness variant {variant!r}")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.state = state
         self.dt = float(dt)
-        self.variant = variant
-        self.M = state.lumped
+        self.M = state.graph.lumped
         stiffness = stiffness_edge_based if variant == "edge" else stiffness_vertex_quadrature
-        self.A = stiffness(state.mesh, state.u, state.m, state.active, state.graph)
+        self.A = stiffness(state.graph, state.u, state.m, state.active)
         self.dtA = self.A.scaled(self.dt)
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev
@@ -221,7 +214,7 @@ def entropy_energy(state: LogDensityState) -> float:
     """Lumped integral of density*(log(density)-1); inactive vertices
     contribute the x*log(x) -> 0 limit."""
     act = state.active
-    return float(np.sum(state.lumped[act] * np.exp(state.u[act]) * (state.u[act] - 1.0)))
+    return float(np.sum(state.graph.lumped[act] * np.exp(state.u[act]) * (state.u[act] - 1.0)))
 
 
 def bounds(state: LogDensityState):

@@ -1,9 +1,8 @@
 """Conforming interval/triangle/quad meshes with oriented faces and cotangent weights.
 
 Faces are single vertices in 1D and edges in 2D.  Every face stores the
-ordered pair of incident cells; its unit normal points from the first
-incident cell to the second (outward on the boundary).  This orientation is
-what the mixed scheme's signed face fluxes are defined against.
+ordered pair of incident cells; the mixed scheme's signed face fluxes run
+from the first incident cell to the second (outward on the boundary).
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class Mesh:
     vertices      (nv, dim) coordinates
     cells         (nc, k) vertex indices, k = 2 (interval), 3 (triangle), 4 (quad, CCW)
     faces         (nf, 1) vertex index in 1D, (nf, 2) edge endpoints in 2D
-    face_cells    (nf, 2) incident cell indices, second entry -1 on the boundary
-    face_normals  (nf, dim) unit normal, oriented first cell -> second
+    face_cells    (nf, 2) incident cell indices, second entry -1 on the boundary;
+                  fluxes are oriented first cell -> second
     face_measures (nf,) edge lengths; point faces have measure 1
     cell_volumes  (nc,) strictly positive
     """
@@ -51,7 +50,6 @@ class Mesh:
     cells: np.ndarray
     faces: np.ndarray
     face_cells: np.ndarray
-    face_normals: np.ndarray
     face_measures: np.ndarray
     cell_volumes: np.ndarray
 
@@ -162,13 +160,10 @@ def make_mesh(vertices, cells, kind) -> Mesh:
     face_cells = np.column_stack([first // nloc, np.full(first.size, -1)])
     face_cells[face_of[second], 1] = np.flatnonzero(second) // nloc
     if kind == INTERVAL:
-        normals = np.where(first % nloc == 0, -1.0, 1.0)[:, None]
         measures = np.ones(first.size)
     else:
         t = vertices[faces[:, 1]] - vertices[faces[:, 0]]
         measures = np.hypot(t[:, 0], t[:, 1])
-        # CCW cell: outward normal is the right-rotation of the edge
-        normals = np.column_stack([t[:, 1] / measures, -t[:, 0] / measures])
 
     return Mesh(
         dim=dim,
@@ -177,7 +172,6 @@ def make_mesh(vertices, cells, kind) -> Mesh:
         cells=_readonly(cells, np.intp),
         faces=_readonly(faces, np.intp),
         face_cells=_readonly(face_cells, np.intp),
-        face_normals=_readonly(normals),
         face_measures=_readonly(measures),
         cell_volumes=_readonly(volumes),
     )
@@ -285,19 +279,10 @@ def _acute_triangle_mesh(box, nx, ny):
     return make_mesh(np.column_stack([xs, ys]), cells.reshape(-1, 3), TRIANGLE)
 
 
-@dataclass(frozen=True)
-class EdgeGeometry:
-    """Per-face lumping weights shared by both schemes.
-
-    omega[f] sums over the incident cells of face f the weight
-    (1/2) cot(opposite angle) on triangles, |K|/2 on quads and intervals.
-    """
-
-    mesh: Mesh
-    omega: np.ndarray
-
-
-def compute_edge_geometry(mesh: Mesh) -> EdgeGeometry:
+def compute_edge_geometry(mesh: Mesh) -> np.ndarray:
+    """Read-only per-face lumping weights omega of the mixed scheme: omega[f]
+    sums over the incident cells of face f the weight (1/2) cot(opposite
+    angle) on triangles, |K|/2 on quads and intervals."""
     if mesh.cell_kind == TRIANGLE and np.any(mesh.cell_volumes <= 0):
         raise MeshError("degenerate cell")
     omega = np.zeros(mesh.n_faces)
@@ -315,22 +300,22 @@ def compute_edge_geometry(mesh: Mesh) -> EdgeGeometry:
             omega[has] += 0.5 / np.tan(np.arccos(np.clip(cosang, -1.0, 1.0)))
         else:
             omega[has] += 0.5 * mesh.cell_volumes[cells[has]]
-    return EdgeGeometry(mesh=mesh, omega=_readonly(omega))
+    return _readonly(omega)
 
 
 #: edge-weight tolerance of the Delaunay checks and of the mixed condensation
 DELAUNAY_TOL = 1e-12
 
 
-def is_delaunay(geom: EdgeGeometry, strict: bool = False) -> bool:
-    """Non-strict: every edge weight >= -DELAUNAY_TOL.  Strict: every interior
-    edge weight > DELAUNAY_TOL (static condensation needs this).  Interval and
-    quad meshes always qualify."""
-    if geom.mesh.cell_kind != TRIANGLE:
+def is_delaunay(mesh: Mesh, omega, strict: bool = False) -> bool:
+    """Non-strict: every face weight omega >= -DELAUNAY_TOL.  Strict: every
+    interior face weight > DELAUNAY_TOL (static condensation needs this).
+    Interval and quad meshes always qualify."""
+    if mesh.cell_kind != TRIANGLE:
         return True
     if strict:
-        return bool(np.all(geom.omega[geom.mesh.interior_faces] > DELAUNAY_TOL))
-    return bool(np.all(geom.omega >= -DELAUNAY_TOL))
+        return bool(np.all(omega[mesh.interior_faces] > DELAUNAY_TOL))
+    return bool(np.all(omega >= -DELAUNAY_TOL))
 
 
 def write_mesh(mesh: Mesh, path) -> None:

@@ -30,10 +30,10 @@ import numpy as np
 
 from .assembly import NEWTON_TOL, GraphOperator, SolverError
 from .assembly import spd_solve as spsolve
-from .mesh import TRIANGLE, EdgeGeometry, Mesh, MeshError, compute_edge_geometry, is_delaunay
+from .mesh import TRIANGLE, Mesh, MeshError, is_delaunay
 
 
-def velocity_lumped_weights(geom: EdgeGeometry) -> np.ndarray:
+def velocity_lumped_weights(mesh: Mesh, omega) -> np.ndarray:
     """Diagonal weights of the lumped velocity mass matrix, per face, in the
     normal-component convention: the lumped rule reads sum_E w_E (u.n_E)^2.
 
@@ -42,28 +42,28 @@ def velocity_lumped_weights(geom: EdgeGeometry) -> np.ndarray:
     int_K |u|^2 = sum_E (1/2) cot(theta) (|E| u.n_E)^2 holds exactly), so on
     triangles they convert to component weights by a factor |E|^2.  Quad and
     interval weights |K|/2 are already component weights."""
-    if geom.mesh.cell_kind == TRIANGLE:
-        return geom.omega * geom.mesh.face_measures**2
-    return geom.omega.copy()
+    if mesh.cell_kind == TRIANGLE:
+        return omega * mesh.face_measures**2
+    return omega.copy()
 
 
 class CellGraph(GraphOperator):
     """Cell graph of the mixed scheme, cells joined by an interior face in
     face order, with the face table of its two-point fluxes: the interior
     mask, the incident cells k1 -> k2, the measures |E| and the lumped
-    velocity weights w_E.  Rejects meshes that are not strictly Delaunay,
-    whose faces static condensation cannot turn into two-point fluxes."""
+    velocity weights w_E from the face weights ``omega``.  Rejects meshes
+    that are not strictly Delaunay, whose faces static condensation cannot
+    turn into two-point fluxes."""
 
-    def __init__(self, geom: EdgeGeometry):
-        if not is_delaunay(geom, strict=True):
+    def __init__(self, mesh: Mesh, omega):
+        if not is_delaunay(mesh, omega, strict=True):
             raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
-        mesh = geom.mesh
         self.interior = mesh.interior_faces
         pairs = mesh.face_cells[self.interior]
         super().__init__(mesh.n_cells, pairs)
         self.k1, self.k2 = pairs.T
         self.measure = mesh.face_measures[self.interior]
-        self.weight = velocity_lumped_weights(geom)[self.interior]
+        self.weight = velocity_lumped_weights(mesh, omega)[self.interior]
 
     def velocity(self, mu):
         """Interior-face velocities u_E = |E| (mu_k1 - mu_k2) / w_E."""
@@ -77,7 +77,7 @@ class MixedState:
     rho >= 0 per cell (to solver slack), mu = m/(m-1) rho^{m-1}, u is the
     normal velocity component along each face normal; boundary faces carry
     u = 0 (no-flux condition built into the velocity space).  ``graph`` is
-    the mesh's :class:`CellGraph`, built on construction when not given and
+    the mesh's :class:`CellGraph`, built by :func:`init_mixed_state` and
     passed on by every step.
     """
 
@@ -86,12 +86,8 @@ class MixedState:
     rho: np.ndarray
     mu: np.ndarray
     u: np.ndarray
+    graph: CellGraph = field(repr=False)
     time: float = 0.0
-    graph: CellGraph = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.graph is None:
-            object.__setattr__(self, "graph", CellGraph(compute_edge_geometry(self.mesh)))
 
     def total_mass(self) -> float:
         return float(self.mesh.cell_volumes @ self.rho)
@@ -111,18 +107,17 @@ def condense_velocity(mu, graph: CellGraph) -> np.ndarray:
     return u
 
 
-def init_mixed_state(mesh: Mesh, rho0, m, geom: EdgeGeometry | None = None) -> MixedState:
+def init_mixed_state(mesh: Mesh, rho0, m, omega) -> MixedState:
     """Sample the pointwise initial density at cell barycenters; potential
-    and flux follow from the closure and condensation."""
-    if geom is None:
-        geom = compute_edge_geometry(mesh)
+    and flux follow from the closure and condensation on the face weights
+    ``omega`` of :func:`~pmefem.mesh.compute_edge_geometry`."""
     rho = np.asarray(rho0(mesh.cell_barycenters()), dtype=float)
     if rho.shape != (mesh.n_cells,):
         raise ValueError("initial density must return one value per cell")
     if np.any(rho < 0):
         raise ValueError("initial density must be nonnegative")
     mu = potential_from_density(rho, m)
-    graph = CellGraph(geom)
+    graph = CellGraph(mesh, omega)
     return MixedState(mesh=mesh, m=float(m), rho=rho, mu=mu, u=condense_velocity(mu, graph), graph=graph)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pmefem.assembly import lumped_mass, stiffness_edge_based, stiffness_vertex_quadrature
+from pmefem.assembly import VertexGraph, stiffness_edge_based, stiffness_vertex_quadrature
 from pmefem.harness import RunConfig, run_convergence, run_simulation
 from pmefem.logdensity import (
     LogDensityState,
@@ -116,14 +116,14 @@ def test_criterion_5_invariant_suite():
     rng = np.random.default_rng(17)
     failures = []
     for name, mesh in _mesh_suite().items():
-        geom = compute_edge_geometry(mesh)
+        omega = compute_edge_geometry(mesh)
         u0 = np.log(0.5 + rng.uniform(0, 1.5, mesh.n_vertices))
         # log-density: mass, energy, bound preservation, uniform fixed point
         variants = ("vertex",) if mesh.cell_kind == "quad" else ("vertex", "edge")
         for variant in variants:
             st = LogDensityState(mesh=mesh, m=2.0, u=u0.copy(),
                                  active=np.ones(mesh.n_vertices, bool),
-                                 lumped=lumped_mass(mesh))
+                                 graph=VertexGraph(mesh))
             mass0, energy = st.total_mass(), entropy_energy(st)
             lo, hi = bounds(st)
             for _ in range(4):
@@ -134,7 +134,7 @@ def test_criterion_5_invariant_suite():
                 if e > energy + 1e-10:
                     failures.append(f"LD energy increase on {name}/{variant}")
                 energy = e
-                if variant == "edge" and is_delaunay(geom):
+                if variant == "edge" and is_delaunay(mesh, omega):
                     lo2, hi2 = bounds(st)
                     if lo2 < lo - 1e-9 or hi2 > hi + 1e-9:
                         failures.append(f"LD bound violation on {name}")
@@ -142,7 +142,7 @@ def test_criterion_5_invariant_suite():
         ust = LogDensityState(mesh=mesh, m=2.0,
                               u=np.full(mesh.n_vertices, 0.4),
                               active=np.ones(mesh.n_vertices, bool),
-                              lumped=lumped_mass(mesh))
+                              graph=VertexGraph(mesh))
         if not np.array_equal(step_logdensity(ust, 0.2).u, ust.u):
             failures.append(f"LD uniform state not a fixed point on {name}")
 
@@ -175,11 +175,13 @@ def test_criterion_6_oracle_equivalences():
     # constant-coefficient equivalence against direct assembly
     for name, mesh in _mesh_suite().items():
         oracle = p1_stiffness_oracle(mesh, coeff=2.0)
-        vertex = stiffness_vertex_quadrature(mesh, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
+        graph, everywhere = VertexGraph(mesh), np.ones(mesh.n_vertices, bool)
+        vertex = stiffness_vertex_quadrature(graph, np.zeros(mesh.n_vertices), 2.0,
+                                             everywhere).tocsr().toarray()
         if np.max(np.abs(vertex - oracle)) > 1e-12:
             failures.append(f"vertex stiffness mismatch on {name}")
         if mesh.cell_kind != "quad":
-            edge = stiffness_edge_based(mesh, np.zeros(mesh.n_vertices), 2.0).tocsr().toarray()
+            edge = stiffness_edge_based(graph, np.zeros(mesh.n_vertices), 2.0, everywhere).tocsr().toarray()
             if np.max(np.abs(edge - oracle)) > 1e-12:
                 failures.append(f"edge stiffness mismatch on {name}")
 
@@ -187,7 +189,7 @@ def test_criterion_6_oracle_equivalences():
     mesh1 = build_structured_mesh("interval", (0, 1), 1)
     st = LogDensityState(mesh=mesh1, m=2.0,
                          u=np.array([0.0, np.log(2.0)]),
-                         active=np.ones(2, bool), lumped=lumped_mass(mesh1))
+                         active=np.ones(2, bool), graph=VertexGraph(mesh1))
     new = step_logdensity(st, 0.01, variant="vertex")
     a = brentq(lambda a: 2 * a - 2 + 0.2 * np.log(a / (3 - a)), 1e-12, 3 - 1e-12, xtol=1e-15)
     if np.max(np.abs(np.exp(new.u) - [a, 3 - a])) > 1e-6:
@@ -197,7 +199,8 @@ def test_criterion_6_oracle_equivalences():
 
     # mixed 2-cell step against the hand solution
     mesh2 = build_structured_mesh("interval", (0, 2), 2)
-    st2 = init_mixed_state(mesh2, lambda pts: np.where(pts[:, 0] < 1, 1.0, 0.0), 2.0)
+    st2 = init_mixed_state(mesh2, lambda pts: np.where(pts[:, 0] < 1, 1.0, 0.0), 2.0,
+                           compute_edge_geometry(mesh2))
     new2 = step_mixed(st2, 0.25)
     if np.max(np.abs(new2.rho - [0.75, 0.25])) > 1e-6:
         failures.append(f"mixed micro-step {new2.rho} vs (0.75, 0.25)")

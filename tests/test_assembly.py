@@ -21,6 +21,10 @@ from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import init_mixed_state, velocity_lumped_weights
 
 
+def all_active(mesh):
+    return np.ones(mesh.n_vertices, dtype=bool)
+
+
 def p1_stiffness_oracle(mesh, coeff=1.0):
     """Direct P1/Q1 stiffness, independently of the assembly module: basis
     gradients from a local linear solve, high-order Gauss on quads."""
@@ -117,28 +121,29 @@ class TestStiffness:
         m = MESHES[name]()
         u0 = np.zeros(m.n_vertices)
         oracle = p1_stiffness_oracle(m, coeff=2.0)  # gamma = m*exp(0) = 2
-        edge = stiffness_edge_based(m, u0, 2.0).tocsr().toarray()
-        vertex = stiffness_vertex_quadrature(m, u0, 2.0).tocsr().toarray()
+        edge = stiffness_edge_based(VertexGraph(m), u0, 2.0, all_active(m)).tocsr().toarray()
+        vertex = stiffness_vertex_quadrature(VertexGraph(m), u0, 2.0, all_active(m)).tocsr().toarray()
         assert np.max(np.abs(edge - oracle)) < 1e-12
         assert np.max(np.abs(vertex - oracle)) < 1e-12
 
     def test_constant_coefficient_quads(self):
         m = MESHES["quad"]()
         oracle = p1_stiffness_oracle(m, coeff=3.0)
-        vertex = stiffness_vertex_quadrature(m, np.zeros(m.n_vertices), 3.0).tocsr().toarray()
+        vertex = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(m.n_vertices), 3.0,
+                                             all_active(m)).tocsr().toarray()
         assert np.max(np.abs(vertex - oracle)) < 1e-12
 
     def test_edge_rejects_quads(self):
         m = MESHES["quad"]()
         with pytest.raises(ValueError):
-            stiffness_edge_based(m, np.zeros(m.n_vertices), 2.0)
+            stiffness_edge_based(VertexGraph(m), np.zeros(m.n_vertices), 2.0, all_active(m))
 
     def test_1d_single_element_values(self):
         m = build_structured_mesh("interval", (0, 1), 1)
         u = np.array([0.0, np.log(2)])
-        edge = stiffness_edge_based(m, u, 2.0).tocsr().toarray()
+        edge = stiffness_edge_based(VertexGraph(m), u, 2.0, all_active(m)).tocsr().toarray()
         assert edge[0, 1] == pytest.approx(-3.6967849, rel=1e-6)
-        vertex = stiffness_vertex_quadrature(m, u, 2.0).tocsr().toarray()
+        vertex = stiffness_vertex_quadrature(VertexGraph(m), u, 2.0, all_active(m)).tocsr().toarray()
         assert vertex[0, 1] == pytest.approx(-5.0)  # -(2 + 8)/2
 
     @pytest.mark.parametrize("name", sorted(MESHES))
@@ -150,9 +155,9 @@ class TestStiffness:
         rng = np.random.default_rng(7)
         u = rng.normal(size=m.n_vertices)
         if variant == "edge":
-            A = stiffness_edge_based(m, u, 2.0)
+            A = stiffness_edge_based(VertexGraph(m), u, 2.0, all_active(m))
         else:
-            A = stiffness_vertex_quadrature(m, u, 2.0)
+            A = stiffness_vertex_quadrature(VertexGraph(m), u, 2.0, all_active(m))
         assert np.max(np.abs(A.tocsr().sum(axis=1).A1)) < 1e-12
 
     @pytest.mark.parametrize("name", ["interval", "triangle", "acute", "quad"])
@@ -160,9 +165,9 @@ class TestStiffness:
         m = MESHES[name]()
         rng = np.random.default_rng(3)
         u = rng.normal(scale=0.5, size=m.n_vertices)
-        mats = [stiffness_vertex_quadrature(m, u, 2.0)]
+        mats = [stiffness_vertex_quadrature(VertexGraph(m), u, 2.0, all_active(m))]
         if m.cell_kind != "quad":
-            mats.append(stiffness_edge_based(m, u, 2.0))
+            mats.append(stiffness_edge_based(VertexGraph(m), u, 2.0, all_active(m)))
         for A in mats:
             for _ in range(10):
                 x = rng.normal(size=m.n_vertices)
@@ -175,11 +180,11 @@ class TestStiffness:
         u = rng.normal(scale=0.3, size=m.n_vertices)
         c, mexp = 0.7, 2.0
         if variant == "edge":
-            A0 = stiffness_edge_based(m, u, mexp).tocsr().toarray()
-            A1 = stiffness_edge_based(m, u + c, mexp).tocsr().toarray()
+            A0 = stiffness_edge_based(VertexGraph(m), u, mexp, all_active(m)).tocsr().toarray()
+            A1 = stiffness_edge_based(VertexGraph(m), u + c, mexp, all_active(m)).tocsr().toarray()
         else:
-            A0 = stiffness_vertex_quadrature(m, u, mexp).tocsr().toarray()
-            A1 = stiffness_vertex_quadrature(m, u + c, mexp).tocsr().toarray()
+            A0 = stiffness_vertex_quadrature(VertexGraph(m), u, mexp, all_active(m)).tocsr().toarray()
+            A1 = stiffness_vertex_quadrature(VertexGraph(m), u + c, mexp, all_active(m)).tocsr().toarray()
         assert np.allclose(A1, np.exp(mexp * c) * A0, rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("name", ["interval", "acute", "quad"])
@@ -196,7 +201,7 @@ class TestStiffness:
         real = assembly.element_stiffness
         monkeypatch.setattr(assembly, "element_stiffness", lambda mesh: calls.append(1) or real(mesh))
         for _ in range(3):
-            A = stiffness_vertex_quadrature(m, u, 2.0, active, graph)
+            A = stiffness_vertex_quadrature(graph, u, 2.0, active)
             assert np.array_equal(A.data, expected)  # bitwise: same products, same order
         assert len(calls) == 1
 
@@ -204,7 +209,7 @@ class TestStiffness:
         m = build_structured_mesh("interval", (0, 1), 3)
         u = np.zeros(4)
         active = np.array([True, True, False, True])
-        A = stiffness_edge_based(m, u, 2.0, active).tocsr().toarray()
+        A = stiffness_edge_based(VertexGraph(m), u, 2.0, active).tocsr().toarray()
         assert A[2, :] == pytest.approx(0.0)
         assert A[0, 1] != 0.0
 
@@ -217,7 +222,7 @@ class TestEdgeWeights:
         # both angles opposite a diagonal of the structured split are right angles
         m = build_structured_mesh("triangle", ((0, 1), (0, 1)), (4, 4))
         u = np.random.default_rng(2).normal(size=m.n_vertices)
-        A = stiffness_edge_based(m, u, 2.0).tocsr()
+        A = stiffness_edge_based(VertexGraph(m), u, 2.0, all_active(m)).tocsr()
         d = m.vertices[m.faces[:, 1]] - m.vertices[m.faces[:, 0]]
         diagonals = m.faces[(d[:, 0] != 0) & (d[:, 1] != 0)]
         assert len(diagonals) == 16
@@ -235,7 +240,7 @@ class TestEdgeWeights:
     def test_acute_weights_match_cotangent_weights(self, box, counts):
         m = build_structured_mesh("acute_triangle", box, counts)
         graph = VertexGraph(m)
-        omega = compute_edge_geometry(m).omega
+        omega = compute_edge_geometry(m)
         ends = np.sort(m.faces, axis=1)
         edge = np.searchsorted(graph.ei * m.n_vertices + graph.ej, ends[:, 0] * m.n_vertices + ends[:, 1])
         assert graph.n_edges == m.n_faces
@@ -249,9 +254,9 @@ class TestEdgeWeights:
         graph = VertexGraph(m)
         assert calls == []
         u = np.random.default_rng(9).normal(size=m.n_vertices)
-        first = stiffness_edge_based(m, u, 2.0, None, graph).data
+        first = stiffness_edge_based(graph, u, 2.0, all_active(m)).data
         for _ in range(2):
-            assert np.array_equal(stiffness_edge_based(m, u, 2.0, None, graph).data, first)
+            assert np.array_equal(stiffness_edge_based(graph, u, 2.0, all_active(m)).data, first)
         assert len(calls) == 1
 
 
@@ -259,31 +264,27 @@ class TestVelocityWeights:
     def test_uniform_quad_interior(self):
         h = 0.25
         m = build_structured_mesh("quad", ((0, 1), (0, 1)), (4, 4))
-        g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(g)
+        w = velocity_lumped_weights(m, compute_edge_geometry(m))
         assert w[m.interior_faces] == pytest.approx(h * h)
 
     def test_two_equilateral_triangles(self):
         s3 = np.sqrt(3) / 2
         verts = [(0.0, 0.0), (1.0, 0.0), (0.5, s3), (0.5, -s3)]
         m = make_mesh(verts, [(0, 1, 2), (0, 3, 1)], "triangle")
-        g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(g)
+        w = velocity_lumped_weights(m, compute_edge_geometry(m))
         shared = int(np.flatnonzero(m.interior_faces)[0])
         assert w[shared] == pytest.approx(1 / np.sqrt(3))  # unit edge: cot factor
 
     def test_right_angle_contributes_zero(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         m = make_mesh(verts, [(0, 1, 2)], "triangle")
-        g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(g)
+        w = velocity_lumped_weights(m, compute_edge_geometry(m))
         hyp = [i for i, f in enumerate(m.faces) if set(f) == {1, 2}][0]
         assert w[hyp] == pytest.approx(0.0, abs=1e-14)
 
     def test_strict_delaunay_weights_positive(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (6, 6))
-        g = compute_edge_geometry(m)
-        w = velocity_lumped_weights(g)
+        w = velocity_lumped_weights(m, compute_edge_geometry(m))
         assert np.all(w[m.interior_faces] > 0)
 
 
@@ -300,7 +301,8 @@ def graph_matrix(n, pairs, off, diag):
 def stiffness_2d(seed=5, counts=(8, 8)):
     rng = np.random.default_rng(seed)
     m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), counts)
-    return m, stiffness_vertex_quadrature(m, rng.normal(size=m.n_vertices), 2.0), rng
+    return m, stiffness_vertex_quadrature(VertexGraph(m), rng.normal(size=m.n_vertices), 2.0,
+                                          all_active(m)), rng
 
 
 class TestSpdSolve:
@@ -328,7 +330,7 @@ class TestSpdSolve:
         rng = np.random.default_rng(5)
         n = 40
         m = build_structured_mesh("interval", (0, 1), n)
-        A = stiffness_vertex_quadrature(m, rng.normal(size=n + 1), 2.0)
+        A = stiffness_vertex_quadrature(VertexGraph(m), rng.normal(size=n + 1), 2.0, all_active(m))
         shift = rng.uniform(0.5, 2.0, size=n + 1)
         rhs = rng.normal(size=n + 1)
         x = spd_solve(A, shift, rhs)
@@ -352,7 +354,7 @@ class TestSpdSolve:
 
     def test_path_graph_solves_directly(self, monkeypatch):
         m = build_structured_mesh("interval", (0, 1), 30)
-        A = stiffness_vertex_quadrature(m, np.zeros(31), 2.0)
+        A = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(31), 2.0, all_active(m))
         monkeypatch.setattr(assembly, "_jacobi_pcg", lambda *args: pytest.fail("PCG on a path graph"))
         rhs = np.linspace(-1.0, 1.0, 31)
         x = spd_solve(A, np.full(31, 0.1), rhs)
@@ -383,7 +385,7 @@ class TestGraphOperator:
         assert np.array_equal(A, A.T)
         assert A[0, 1] == pytest.approx(-0.3)  # (0,1) and (1,0) accumulate together
         m, K, rng = stiffness_2d()
-        for B in (K, stiffness_edge_based(m, rng.normal(size=m.n_vertices), 3.0)):
+        for B in (K, stiffness_edge_based(VertexGraph(m), rng.normal(size=m.n_vertices), 3.0, all_active(m))):
             arr = B.tocsr().toarray()
             assert np.array_equal(arr, arr.T)
 
@@ -408,14 +410,14 @@ class TestGraphOperator:
         active = np.ones(m.n_vertices, bool)
         active[::3] = False
         graph = VertexGraph(m)
-        A = stiffness_edge_based(m, np.zeros(m.n_vertices), 2.0, active, graph)
+        A = stiffness_edge_based(graph, np.zeros(m.n_vertices), 2.0, active)
         assert A.data.size == graph.nnz
         arr = A.tocsr().toarray()
         assert np.all(arr[~active][:, active] == 0.0)
 
     def test_cell_graph_face_positions(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (3, 3))
-        op = init_mixed_state(m, lambda pts: np.ones(len(pts)), 2.0).graph
+        op = init_mixed_state(m, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(m)).graph
         pairs = m.face_cells[m.interior_faces]
         assert op.n_edges == len(pairs)
         lo, hi = pairs.min(axis=1), pairs.max(axis=1)

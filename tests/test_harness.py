@@ -27,7 +27,7 @@ from pmefem.harness import (
     _QUADRATURE,
     _mixed_step_with_cfl,
 )
-from pmefem.mesh import DELAUNAY_TOL, MeshError, build_structured_mesh, write_mesh
+from pmefem.mesh import DELAUNAY_TOL, MeshError, build_structured_mesh, compute_edge_geometry, write_mesh
 from pmefem.mixed import init_mixed_state
 from pmefem.logdensity import init_log_state
 from pmefem.problems import get_problem
@@ -131,6 +131,15 @@ class TestParseConfig:
         assert capsys.readouterr().err == "error: s0 must be positive and finite\n"
         assert parse_config(cfg, {"s0": "0.5"}).s0 == 0.5
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["m", "dt", "T", "domain"])
+    def test_non_finite_setting_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, MINIMAL + "n = 20\n")
+        text = f"-10 {value}" if key == "domain" else value
+        assert cli.main(["simulate", str(cfg), "-o", f"{key}={text}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+
     def test_missing_required(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             parse_config(write_cfg(tmp_path, "scheme = mixed\nproblem = waiting\n"))
@@ -168,18 +177,18 @@ class TestParseConfig:
 class TestL2Error:
     def test_exact_match_is_zero(self):
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (4, 4))
-        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
+        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(mesh))
         assert l2_error(st, lambda pts: np.ones(len(pts)), ((0, 1), (0, 1))) == 0.0
 
     def test_unit_mismatch_on_unit_square(self):
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (4, 4))
-        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
+        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(mesh))
         err = l2_error(st, lambda pts: np.zeros(len(pts)), ((0, 1), (0, 1)))
         assert err == pytest.approx(1.0, rel=1e-12)
 
     def test_p0_linear_exact(self):
         mesh = build_structured_mesh("interval", (0, 1), 1)
-        st = init_mixed_state(mesh, lambda pts: np.full(len(pts), 0.5), 2.0)
+        st = init_mixed_state(mesh, lambda pts: np.full(len(pts), 0.5), 2.0, compute_edge_geometry(mesh))
         err = l2_error(st, lambda pts: pts[:, 0], (0, 1))
         assert err == pytest.approx(1 / math.sqrt(12), rel=1e-12)
 
@@ -224,7 +233,7 @@ class TestL2Error:
 
     def test_empty_region(self):
         mesh = build_structured_mesh("interval", (0, 1), 4)
-        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
+        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(mesh))
         with pytest.raises(ValueError):
             l2_error(st, lambda pts: np.ones(len(pts)), (2.0, 3.0))
 
@@ -373,7 +382,7 @@ class TestRunSimulation:
 class TestCflGuard:
     def barenblatt_state(self):
         mesh = build_structured_mesh("interval", (-10, 10), 50)
-        return init_mixed_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
+        return init_mixed_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0, compute_edge_geometry(mesh))
 
     def test_violation_without_autohalve_is_logged(self, caplog):
         st = self.barenblatt_state()
@@ -448,7 +457,7 @@ class TestOutputs:
 
     def test_vtk_two_line_cells(self, tmp_path):
         mesh = build_structured_mesh("interval", (0, 1), 2)
-        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
+        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(mesh))
         path = tmp_path / "out.vtk"
         write_vtk(st, path)
         text = path.read_text().splitlines()
@@ -477,7 +486,7 @@ class TestOutputs:
 
     def test_vtk_bytes_mixed_state(self, tmp_path):
         mesh = build_structured_mesh("interval", (0, 1), 2)
-        st = init_mixed_state(mesh, lambda pts: np.array([1 / 3, 0.7]), 2.5)
+        st = init_mixed_state(mesh, lambda pts: np.array([1 / 3, 0.7]), 2.5, compute_edge_geometry(mesh))
         write_vtk(st, tmp_path / "out.vtk", title="mixed state")
         assert (tmp_path / "out.vtk").read_bytes() == (
             b"# vtk DataFile Version 2.0\nmixed state\nASCII\nDATASET UNSTRUCTURED_GRID\n"
@@ -510,7 +519,7 @@ class TestRunConvergence:
         assert rows[1].error_inner < rows[0].error_inner
         assert rows[1].N == "100"
 
-    @pytest.mark.parametrize("domain", ["20 30", "5 10", "-30 -5"])
+    @pytest.mark.parametrize("domain", ["20 30", "5 10", "-30 -5", "4.9 10"])
     def test_domain_missing_inner_region_rejected_before_any_level(self, tmp_path, capsys, monkeypatch, domain):
         runs = []
         monkeypatch.setattr(harness, "run_simulation", lambda cfg: runs.append(cfg))

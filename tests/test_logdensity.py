@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from pmefem import logdensity
-from pmefem.assembly import SolverError, lumped_mass, spd_solve
+from pmefem.assembly import SolverError, VertexGraph, spd_solve
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.logdensity import (
     LogDensityState,
@@ -25,7 +25,7 @@ from pmefem.problems import barenblatt, get_problem
 def make_state(mesh, u, active=None, m=2.0):
     active = np.ones(mesh.n_vertices, bool) if active is None else active
     return LogDensityState(mesh=mesh, m=m, u=np.asarray(u, float),
-                           active=active, lumped=lumped_mass(mesh))
+                           active=active, graph=VertexGraph(mesh))
 
 
 def positive_state(mesh, m=2.0, seed=0):

@@ -106,31 +106,13 @@ class TestAcuteTriangle:
     def test_matches_loop_builder_bitwise(self, box, counts):
         m = build_structured_mesh("acute_triangle", box, counts)
         ref = acute_triangle_loop(box, *counts)
-        for name in ("vertices", "cells", "faces", "face_cells", "face_normals",
-                     "face_measures", "cell_volumes"):
+        for name in ("vertices", "cells", "faces", "face_cells", "face_measures", "cell_volumes"):
             a, b = getattr(m, name), getattr(ref, name)
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes(), name
 
 
 class TestFaceOrientation:
-    @pytest.mark.parametrize("kind,counts", [
-        ("interval", 7), ("triangle", (4, 3)), ("quad", (4, 3)), ("acute_triangle", (4, 3)),
-    ])
-    def test_normal_points_from_first_to_second(self, kind, counts):
-        box = (0, 1) if kind == "interval" else ((0, 1), (0, 1))
-        m = build_structured_mesh(kind, box, counts)
-        bary = m.cell_barycenters()
-        for f in range(m.n_faces):
-            c1, c2 = m.face_cells[f]
-            fc = m.vertices[m.faces[f]].mean(axis=0)
-            n = m.face_normals[f]
-            # outward from the first incident cell
-            assert np.dot(n, fc - bary[c1]) > 0
-            if c2 >= 0:
-                assert np.dot(n, bary[c2] - fc) > 0
-            assert np.linalg.norm(n) == pytest.approx(1.0)
-
     @pytest.mark.parametrize("kind,counts", [
         ("interval", 7), ("triangle", (5, 4)), ("quad", (4, 3)), ("acute_triangle", (6, 5)),
     ])
@@ -177,82 +159,82 @@ class TestEdgeGeometry:
     def test_equilateral_weight(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.5, np.sqrt(3) / 2)]
         m = make_mesh(verts, [(0, 1, 2)], "triangle")
-        g = compute_edge_geometry(m)
-        assert g.omega == pytest.approx([0.5 / np.tan(np.pi / 3)] * 3)
-        assert g.omega[0] == pytest.approx(0.288675, abs=1e-6)
+        omega = compute_edge_geometry(m)
+        assert omega == pytest.approx([0.5 / np.tan(np.pi / 3)] * 3)
+        assert omega[0] == pytest.approx(0.288675, abs=1e-6)
 
     def test_right_angle_weight_zero(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         m = make_mesh(verts, [(0, 1, 2)], "triangle")
-        g = compute_edge_geometry(m)
+        omega = compute_edge_geometry(m)
         # the hypotenuse (1,2) is opposite the right angle
         hyp = [i for i, f in enumerate(m.faces) if set(f) == {1, 2}][0]
-        assert g.omega[hyp] == pytest.approx(0.0, abs=1e-14)
+        assert omega[hyp] == pytest.approx(0.0, abs=1e-14)
 
     def test_square_diagonal_split_boundary_weight(self):
         m = unit_square_two_triangles()
-        g = compute_edge_geometry(m)
+        omega = compute_edge_geometry(m)
         for f in range(m.n_faces):
             pair = set(m.faces[f])
             if pair == {0, 2}:       # diagonal, opposite two 90-degree angles
-                assert g.omega[f] == pytest.approx(0.0, abs=1e-15)
+                assert omega[f] == pytest.approx(0.0, abs=1e-15)
             else:                    # boundary edges, opposite one 45-degree angle
-                assert g.omega[f] == pytest.approx(0.5)
+                assert omega[f] == pytest.approx(0.5)
 
     def test_boundary_weight_matches_p1_stiffness(self):
         # hand-assembled P1 stiffness on the 2-triangle square: the (0,1)
         # off-diagonal comes only from triangle (0,1,2), equals -1/2
         m = unit_square_two_triangles()
-        g = compute_edge_geometry(m)
+        omega = compute_edge_geometry(m)
         f01 = [i for i, f in enumerate(m.faces) if set(f) == {0, 1}][0]
         grads = {0: np.array([-1.0, 0.0]), 1: np.array([1.0, -1.0]), 2: np.array([0.0, 1.0])}
         area = 0.5
         hand = area * grads[0] @ grads[1]
-        assert -g.omega[f01] == pytest.approx(hand)
+        assert -omega[f01] == pytest.approx(hand)
 
     def test_quad_and_interval_weights(self):
         m = build_structured_mesh("quad", ((0, 1), (0, 1)), (2, 2))
-        g = compute_edge_geometry(m)
+        omega = compute_edge_geometry(m)
         interior = m.interior_faces
-        assert g.omega[interior] == pytest.approx(0.25)   # two cells x |K|/2
-        assert g.omega[~interior] == pytest.approx(0.125)
+        assert omega[interior] == pytest.approx(0.25)   # two cells x |K|/2
+        assert omega[~interior] == pytest.approx(0.125)
         m1 = build_structured_mesh("interval", (0, 1), 4)
-        g1 = compute_edge_geometry(m1)
-        assert g1.omega[m1.interior_faces] == pytest.approx(0.25)
+        omega1 = compute_edge_geometry(m1)
+        assert omega1[m1.interior_faces] == pytest.approx(0.25)
 
 
 class TestDelaunay:
     def test_acute_structured_strict(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (8, 8))
-        g = compute_edge_geometry(m)
-        assert is_delaunay(g, strict=True)
-        assert is_delaunay(g)
+        omega = compute_edge_geometry(m)
+        assert is_delaunay(m, omega, strict=True)
+        assert is_delaunay(m, omega)
 
     def test_right_split_nonstrict_only(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         m = make_mesh(verts, [(0, 1, 2), (0, 2, 3)], "triangle")
-        g = compute_edge_geometry(m)
-        assert is_delaunay(g)
-        assert not is_delaunay(g, strict=True)
+        omega = compute_edge_geometry(m)
+        assert is_delaunay(m, omega)
+        assert not is_delaunay(m, omega, strict=True)
 
     def test_thin_kite_not_delaunay(self):
         # opposite angles across the diagonal sum to more than pi
         verts = [(0.0, 0.0), (1.0, 0.1), (2.0, 0.0), (1.0, -3.0)]
         m = make_mesh(verts, [(0, 1, 2), (0, 2, 3)], "triangle")
-        g = compute_edge_geometry(m)
-        assert not is_delaunay(g)
+        omega = compute_edge_geometry(m)
+        assert not is_delaunay(m, omega)
 
     def test_quads_and_intervals_qualify(self):
         for m in (build_structured_mesh("quad", ((0, 1), (0, 1)), (2, 2)),
                   build_structured_mesh("interval", (0, 1), 3)):
-            g = compute_edge_geometry(m)
-            assert is_delaunay(g, strict=True)
+            omega = compute_edge_geometry(m)
+            assert is_delaunay(m, omega, strict=True)
 
     def test_weight_sign_matches_nonstrict_check(self):
         for counts in ((3, 3), (5, 2)):
             m = build_structured_mesh("triangle", ((0, 2), (0, 1)), counts)
-            g = compute_edge_geometry(m)
-            assert is_delaunay(g) == bool(np.all(g.omega >= -1e-12))
+            omega = compute_edge_geometry(m)
+            assert is_delaunay(m, omega) == bool(np.all(omega >= -1e-12))
 
 
 class TestPatchVolumes:

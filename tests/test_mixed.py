@@ -24,8 +24,7 @@ from pmefem.problems import barenblatt, get_problem, merging_gaussians
 
 
 def state_from_rho(mesh, rho, m=2.0):
-    geom = compute_edge_geometry(mesh)
-    graph = CellGraph(geom)
+    graph = CellGraph(mesh, compute_edge_geometry(mesh))
     rho = np.asarray(rho, float)
     mu = potential_from_density(rho, m)
     u = condense_velocity(mu, graph)
@@ -35,20 +34,22 @@ def state_from_rho(mesh, rho, m=2.0):
 class TestInit:
     def test_uniform(self):
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (3, 3))
-        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
+        st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(mesh))
         assert st.rho == pytest.approx(np.ones(9))
         assert st.u == pytest.approx(np.zeros(mesh.n_faces))
 
     def test_barenblatt_outside_cells_zero(self):
         mesh = build_structured_mesh("interval", (-10, 10), 100)
-        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0)
+        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0,
+                              compute_edge_geometry(mesh))
         bary = mesh.cell_barycenters()[:, 0]
         assert np.all(st.rho[np.abs(bary) > 6.0] == 0.0)
 
     def test_gaussian_origin_cell(self):
         # symmetric mesh: a cell barycenter sits at the origin
         mesh = build_structured_mesh("quad", ((-1, 1), (-1, 1)), (5, 5))
-        st = init_mixed_state(mesh, lambda pts: merging_gaussians(pts[:, 0], pts[:, 1]), 3.0)
+        st = init_mixed_state(mesh, lambda pts: merging_gaussians(pts[:, 0], pts[:, 1]), 3.0,
+                              compute_edge_geometry(mesh))
         center = np.argmin(np.linalg.norm(mesh.cell_barycenters(), axis=1))
         assert st.rho[center] == pytest.approx(2 * np.exp(-3.6), rel=1e-12)
         assert st.rho[center] == pytest.approx(0.05465, abs=1e-5)
@@ -56,46 +57,46 @@ class TestInit:
     def test_negative_rejected(self):
         mesh = build_structured_mesh("interval", (0, 1), 4)
         with pytest.raises(ValueError):
-            init_mixed_state(mesh, lambda pts: np.full(len(pts), -1.0), 2.0)
+            init_mixed_state(mesh, lambda pts: np.full(len(pts), -1.0), 2.0, compute_edge_geometry(mesh))
 
 
 class TestCondensation:
     def test_equal_potentials_no_flow(self):
         mesh = build_structured_mesh("interval", (0, 2), 2)
-        geom = compute_edge_geometry(mesh)
-        u = condense_velocity(np.array([1.3, 1.3]), CellGraph(geom))
+        omega = compute_edge_geometry(mesh)
+        u = condense_velocity(np.array([1.3, 1.3]), CellGraph(mesh, omega))
         assert u == pytest.approx(np.zeros(3))
 
     def test_1d_hand_value(self):
         # uniform h=1: interior node weight 1, |E|=1, mu=(2,0) -> u=2
         mesh = build_structured_mesh("interval", (0, 2), 2)
-        geom = compute_edge_geometry(mesh)
-        u = condense_velocity(np.array([2.0, 0.0]), CellGraph(geom))
+        omega = compute_edge_geometry(mesh)
+        u = condense_velocity(np.array([2.0, 0.0]), CellGraph(mesh, omega))
         interior = int(np.flatnonzero(mesh.interior_faces)[0])
         assert u[interior] == pytest.approx(2.0)
 
     def test_boundary_faces_zero(self):
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (3, 3))
-        geom = compute_edge_geometry(mesh)
+        omega = compute_edge_geometry(mesh)
         rng = np.random.default_rng(0)
-        u = condense_velocity(rng.uniform(0, 2, mesh.n_cells), CellGraph(geom))
+        u = condense_velocity(rng.uniform(0, 2, mesh.n_cells), CellGraph(mesh, omega))
         assert np.all(u[~mesh.interior_faces] == 0.0)
 
     def test_nonstrict_mesh_rejected(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
         mesh = make_mesh(verts, [(0, 1, 2), (0, 2, 3)], "triangle")  # right angles
-        geom = compute_edge_geometry(mesh)
+        omega = compute_edge_geometry(mesh)
         with pytest.raises(MeshError, match="not strictly Delaunay"):
-            CellGraph(geom)
+            CellGraph(mesh, omega)
         with pytest.raises(MeshError, match="not strictly Delaunay"):
-            init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0)
+            init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, omega)
 
     def test_consistency_on_acute_triangles(self):
         # the aggregated cotangent weight equals (circumcenter distance)/|E|,
         # so a linear potential sampled at circumcenters reproduces its
         # normal gradient exactly through the two-point formula
         mesh = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (8, 8))
-        geom = compute_edge_geometry(mesh)
+        omega = compute_edge_geometry(mesh)
         cc = np.empty((mesh.n_cells, 2))
         for ci, cell in enumerate(mesh.cells):
             A, B, C = mesh.vertices[cell]
@@ -103,9 +104,13 @@ class TestCondensation:
             rhs = np.array([B @ B - A @ A, C @ C - A @ A])
             cc[ci] = np.linalg.solve(lhs, rhs)
         mu = 2.0 * cc[:, 0]                         # grad(mu) = (2, 0)
-        u = condense_velocity(mu, CellGraph(geom))
+        u = condense_velocity(mu, CellGraph(mesh, omega))
         interior = mesh.interior_faces
-        expected = -2.0 * mesh.face_normals[interior, 0]
+        # unit normal of each face: the right-rotation of its edge, outward
+        # from its first (counterclockwise) cell
+        t = mesh.vertices[mesh.faces[:, 1]] - mesh.vertices[mesh.faces[:, 0]]
+        normal_x = t[:, 1] / np.hypot(t[:, 0], t[:, 1])
+        expected = -2.0 * normal_x[interior]
         assert u[interior] == pytest.approx(expected, abs=1e-10)
 
 
@@ -167,7 +172,8 @@ class TestStep:
 
     def test_local_mass_balance(self):
         mesh = build_structured_mesh("interval", (-10, 10), 50)
-        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0)
+        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0,
+                              compute_edge_geometry(mesh))
         dt = 0.02
         new = step_mixed(st, dt)
         # recompute the per-cell balance from the returned state
@@ -184,10 +190,11 @@ class TestStep:
 
     def test_condensation_consistency_after_step(self):
         mesh = build_structured_mesh("quad", ((-6, 6), (-6, 6)), (8, 8))
-        st = init_mixed_state(mesh, lambda pts: barenblatt(pts, 0.0, 2, 1.0, 2), 2.0)
+        st = init_mixed_state(mesh, lambda pts: barenblatt(pts, 0.0, 2, 1.0, 2), 2.0,
+                              compute_edge_geometry(mesh))
         new = step_mixed(st, 0.05)
-        geom = compute_edge_geometry(mesh)
-        assert new.u == pytest.approx(condense_velocity(new.mu, CellGraph(geom)), abs=1e-12)
+        omega = compute_edge_geometry(mesh)
+        assert new.u == pytest.approx(condense_velocity(new.mu, CellGraph(mesh, omega)), abs=1e-12)
         assert new.mu == pytest.approx(potential_from_density(new.rho, 2.0), rel=1e-12)
 
     def test_nonpositive_dt(self):
@@ -209,7 +216,7 @@ class TestConservationAndDissipation:
             rho0 = lambda pts: barenblatt(pts[:, 0], 0.0, m, 3.0, 1)
         else:
             rho0 = lambda pts: barenblatt(pts, 0.0, m, 1.0, 2)
-        st = init_mixed_state(mesh, rho0, m)
+        st = init_mixed_state(mesh, rho0, m, compute_edge_geometry(mesh))
         mass0 = st.total_mass()
         energy = physical_energy(st)
         for _ in range(5):
@@ -221,7 +228,8 @@ class TestConservationAndDissipation:
 
     def test_positivity_under_cfl(self):
         mesh = build_structured_mesh("interval", (-10, 10), 80)
-        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0)
+        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0,
+                              compute_edge_geometry(mesh))
         dt = 0.01
         for _ in range(10):
             st = step_mixed(st, dt)
@@ -244,7 +252,7 @@ class TestCfl:
         u = st.u.copy()
         interior = int(np.flatnonzero(mesh.interior_faces)[0])
         u[interior] = 1.0   # |K|=1, |E|=1, one outflow face for the left cell
-        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u)
+        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u, graph=st.graph)
         per_cell, bound = cfl_max_dt(st)
         assert bound == pytest.approx(1.0)
 
@@ -258,7 +266,7 @@ class TestCfl:
         for f in touching:
             k1, _ = mesh.face_cells[f]
             u[f] = 1.0 if k1 == 1 else -1.0  # outflow from cell 1 on both faces
-        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u)
+        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u, graph=st.graph)
         per_cell, _ = cfl_max_dt(st)
         assert per_cell[1] == pytest.approx(0.5)
 
@@ -289,7 +297,7 @@ class TestSignChatter:
         # next; between cells of equal previous density the step is the same
         mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (8, 8))
         rho0 = lambda pts: np.maximum(1 - ((pts[:, 0] - 0.053) ** 2 + (pts[:, 1] - 0.25) ** 2) / 0.36, 0)
-        st = init_mixed_state(mesh, rho0, 1.1)
+        st = init_mixed_state(mesh, rho0, 1.1, compute_edge_geometry(mesh))
         new = step_mixed(st, 0.005)
         assert new.total_mass() == pytest.approx(st.total_mass(), rel=1e-12)
         assert physical_energy(new) <= physical_energy(st)
@@ -314,7 +322,7 @@ class TestNewtonUpdate:
         measure = mesh.face_measures[interior]
         mu = potential_from_density(rho, state.m)
         rhat = np.where(mu[k1] >= mu[k2], state.rho[k1], state.rho[k2])
-        g = dt * rhat * measure**2 / velocity_lumped_weights(compute_edge_geometry(mesh))[interior]
+        g = dt * rhat * measure**2 / velocity_lumped_weights(mesh, compute_edge_geometry(mesh))[interior]
         dmu = _dmu(rho, state.m)
         jac = np.diag(mesh.cell_volumes)
         for a, b, ga in zip(k1, k2, g):
@@ -331,7 +339,7 @@ class TestNewtonUpdate:
 
     @pytest.mark.parametrize("m", [1.5, 2.0, 3.0])
     def test_empty_cells(self, m):
-        st = init_mixed_state(self.MESH, self.cap, m)
+        st = init_mixed_state(self.MESH, self.cap, m, compute_edge_geometry(self.MESH))
         empty = st.rho == 0
         assert 0 < empty.sum() < self.MESH.n_cells
         rho = st.rho * np.random.default_rng(0).uniform(0.5, 1.5, self.MESH.n_cells)
@@ -339,7 +347,7 @@ class TestNewtonUpdate:
 
     @pytest.mark.parametrize("m", [2.5, 3.0])
     def test_subnormal_cells(self, m):
-        st = init_mixed_state(self.MESH, self.cap, m)
+        st = init_mixed_state(self.MESH, self.cap, m, compute_edge_geometry(self.MESH))
         rho = st.rho.copy()
         rho[st.rho == 0] = 1e-310
         rho[::7] = 5e-324
@@ -349,7 +357,7 @@ class TestNewtonUpdate:
         # subnormal densities everywhere: D L_g is below roundoff of V in
         # every column although the face weights are not zero
         monkeypatch.setattr(mixed, "spsolve", lambda *args: pytest.fail("no cell is coupled"))
-        st = init_mixed_state(self.MESH, self.cap, 3.0)
+        st = init_mixed_state(self.MESH, self.cap, 3.0, compute_edge_geometry(self.MESH))
         self.check(st, np.full(self.MESH.n_cells, 1e-310))
 
     def test_horseshoe_first_step_iterations(self, monkeypatch):
@@ -363,7 +371,8 @@ class TestNewtonUpdate:
 class TestFailureModes:
     def test_nonconvergence_raises(self):
         mesh = build_structured_mesh("interval", (-10, 10), 30)
-        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0)
+        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0,
+                              compute_edge_geometry(mesh))
         with pytest.raises(SolverError):
             step_mixed(st, 1e9, max_iter=1)
 
@@ -371,7 +380,7 @@ class TestFailureModes:
         # one full and one halved iteration
         problem = get_problem("horseshoe", 3.0)
         mesh = build_structured_mesh("acute_triangle", problem.domain, (8, 8))
-        st = init_mixed_state(mesh, problem.rho0, 3.0)
+        st = init_mixed_state(mesh, problem.rho0, 3.0, compute_edge_geometry(mesh))
         with pytest.raises(SolverError, match=r"^mixed Newton did not converge in 2 iterations: "
                                               r"residual \d\.\d{3}e-0\d on 32 coupled cells$"):
             step_mixed(st, 1e-3, max_iter=1)

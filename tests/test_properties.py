@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pmefem import harness
 from pmefem import logdensity as ld
 from pmefem import mixed as mx
-from pmefem.mesh import build_structured_mesh
+from pmefem.mesh import build_structured_mesh, compute_edge_geometry
 
 MESH = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (8, 8))
 QUAD_MESH = build_structured_mesh("quad", ((-1, 1), (-1, 1)), (8, 8))
@@ -85,7 +85,7 @@ def test_mixed_step_roundoff_sign_flip():
 
 
 def check_mixed_step(m, cx, cy, radius, dt, mesh=MESH):
-    state = mx.init_mixed_state(mesh, cap(cx, cy, radius), m)
+    state = mx.init_mixed_state(mesh, cap(cx, cy, radius), m, compute_edge_geometry(mesh))
     # halving until the post hoc CFL bound holds is what guarantees positivity
     new, bound = harness._mixed_step_with_cfl(state, dt, autohalve=True)
     assert bound == mx.cfl_max_dt(new)[1]
