@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
@@ -22,6 +23,7 @@ from .mesh import (
     MeshError,
     build_structured_mesh,
     compute_edge_geometry,
+    write_rows,
 )
 from .problems import PROBLEM_NAMES, ProblemSpec, get_problem
 
@@ -194,6 +196,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("theta must lie in [0, 1]")
     if cfg.s0 is not None and not 0.0 < cfg.s0 < math.inf:
         raise ConfigError("s0 must be positive and finite")
+    out_dir = os.path.dirname(cfg.output)
+    if cfg.output and not os.path.isdir(out_dir or os.curdir):
+        raise ConfigError(f"output directory {out_dir!r} does not exist")
 
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if not cfg.mesh_kind:
@@ -483,9 +488,9 @@ def write_vtk(state, path, title="pmefem output"):
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {mesh.n_vertices} double\n")
-        np.savetxt(f, np.pad(mesh.vertices, ((0, 0), (0, 3 - mesh.dim))), fmt="%.17g")
+        write_rows(f, mesh.vertices, " ".join(["%.17g"] * mesh.dim + ["0"] * (3 - mesh.dim)) + "\n")
         f.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (nloc + 1)}\n")
-        np.savetxt(f, np.column_stack([np.full(mesh.n_cells, nloc), mesh.cells]), fmt="%d")
+        write_rows(f, mesh.cells, " ".join([str(nloc)] + ["%d"] * nloc) + "\n")
         f.write(f"CELL_TYPES {mesh.n_cells}\n")
         f.write(f"{_VTK_CELL_TYPES[mesh.cell_kind]}\n" * mesh.n_cells)
         if isinstance(state, mx.MixedState):
@@ -497,4 +502,4 @@ def write_vtk(state, path, title="pmefem output"):
             scalars = {"density": state.density(), "log_density": floored}
         for name, values in scalars.items():
             f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
-            np.savetxt(f, values, fmt="%.17g")
+            write_rows(f, values, "%.17g\n")

@@ -318,12 +318,29 @@ def is_delaunay(mesh: Mesh, omega, strict: bool = False) -> bool:
     return bool(np.all(omega >= -DELAUNAY_TOL))
 
 
+#: rows per formatting operation of :func:`write_rows`, which holds one
+#: block's values and text at a time, whatever the mesh size.  Larger blocks
+#: save no time and lift the peak above a row-by-row writer's on small meshes.
+ROW_BLOCK = 1024
+
+
+def write_rows(f, array, line) -> None:
+    """Write a 2D array as ``line % row`` per row, or a 1D array as ``line %
+    value`` per value.  ``line`` ends in a newline and may hold constant
+    columns.  Each block of ROW_BLOCK rows is formatted by one ``%`` on
+    Python scalars: the text of row-by-row formatting at a fraction of its cost."""
+    for start in range(0, len(array), ROW_BLOCK):
+        block = array[start:start + ROW_BLOCK]
+        f.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_mesh(mesh: Mesh, path) -> None:
-    """Plain ASCII dump: header `dim ncells nverts kind`, vertices, cells."""
+    """Plain ASCII dump: header `dim ncells nverts kind`, vertices (%.17g,
+    exact for float64), cells."""
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"{mesh.dim} {mesh.n_cells} {mesh.n_vertices} {mesh.cell_kind}\n")
-        np.savetxt(f, mesh.vertices, fmt="%.17g")
-        np.savetxt(f, mesh.cells, fmt="%d")
+        write_rows(f, mesh.vertices, " ".join(["%.17g"] * mesh.dim) + "\n")
+        write_rows(f, mesh.cells, " ".join(["%d"] * mesh.cells.shape[1]) + "\n")
 
 
 def _read_block(f, rows, cols, dtype, what):

@@ -1,8 +1,10 @@
 """Config parsing, error norms, simulation records, file formats, CLI."""
 
+import io
 import itertools
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +27,17 @@ from pmefem.harness import (
     write_vtk,
     ConvergenceRow,
     _QUADRATURE,
+    _VTK_CELL_TYPES,
     _mixed_step_with_cfl,
 )
-from pmefem.mesh import DELAUNAY_TOL, MeshError, build_structured_mesh, compute_edge_geometry, write_mesh
+from pmefem.mesh import (
+    DELAUNAY_TOL,
+    ROW_BLOCK,
+    MeshError,
+    build_structured_mesh,
+    compute_edge_geometry,
+    write_mesh,
+)
 from pmefem.mixed import init_mixed_state
 from pmefem.logdensity import init_log_state
 from pmefem.problems import get_problem
@@ -509,6 +519,132 @@ class TestOutputs:
         assert "CELL_TYPES" in text
 
 
+# meshes whose vertex and cell arrays span more than one block of write_rows
+MULTI_BLOCK = [("interval", (-1.3, 2.9), 5000),
+               ("quad", ((-1.3, 2.9), (-0.7, 3.1)), (70, 60)),
+               ("acute_triangle", ((-1.3, 2.9), (-0.7, 3.1)), (70, 64))]
+
+
+def cap_density(pts):
+    """A compactly supported cap covering part of the domain, so that some
+    log-density vertices are inactive."""
+    r2 = ((pts - 0.3) ** 2).sum(axis=1) / 1.7
+    return np.maximum(1.0 - r2, 0.0) ** (2 / 3)
+
+
+def multi_block_state(kind, box, counts, scheme):
+    mesh = build_structured_mesh(kind, box, counts)
+    if scheme == "logdensity":
+        return init_log_state(mesh, cap_density, 2.5)
+    return init_mixed_state(mesh, cap_density, 2.5, compute_edge_geometry(mesh))
+
+
+def savetxt_vtk(state, title):
+    """The VTK text of ``state`` written with np.savetxt on padded and
+    stacked copies of its arrays: the reference for write_vtk."""
+    mesh = state.mesh
+    nloc = mesh.cells.shape[1]
+    f = io.StringIO()
+    f.write(f"# vtk DataFile Version 2.0\n{title}\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+    f.write(f"POINTS {mesh.n_vertices} double\n")
+    np.savetxt(f, np.pad(mesh.vertices, ((0, 0), (0, 3 - mesh.dim))), fmt="%.17g")
+    f.write(f"CELLS {mesh.n_cells} {mesh.n_cells * (nloc + 1)}\n")
+    np.savetxt(f, np.column_stack([np.full(mesh.n_cells, nloc), mesh.cells]), fmt="%d")
+    f.write(f"CELL_TYPES {mesh.n_cells}\n")
+    np.savetxt(f, np.full(mesh.n_cells, _VTK_CELL_TYPES[mesh.cell_kind]), fmt="%d")
+    section, n, scalars = vtk_scalars(state)
+    f.write(f"{section} {n}\n")
+    for name, values in scalars.items():
+        f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+        np.savetxt(f, values, fmt="%.17g")
+    return f.getvalue()
+
+
+def vtk_scalars(state):
+    """The data section, its size and the fields write_vtk should write."""
+    if isinstance(state, mx.MixedState):
+        return "CELL_DATA", state.mesh.n_cells, {"density": state.rho, "potential": state.mu}
+    floored = np.where(state.active, np.maximum(state.u, ld.LOG_FLOOR), ld.LOG_FLOOR)
+    return "POINT_DATA", state.mesh.n_vertices, {"density": state.density(), "log_density": floored}
+
+
+def parse_vtk(text):
+    """Points, cells (with their size column), cell types, the data section
+    and its scalar fields of a legacy ASCII VTK file, each block read by its
+    header's count."""
+    lines = text.split("\n")
+    out, scalars, i = {}, {}, 0
+    while i < len(lines):
+        head = lines[i].split()
+        if head and head[0] in ("POINTS", "CELLS", "CELL_TYPES"):
+            n = int(head[1])
+            rows = [line.split() for line in lines[i + 1:i + 1 + n]]
+            out[head[0]] = np.array(rows, dtype=float if head[0] == "POINTS" else np.intp)
+            i += n
+        elif head and head[0] in ("POINT_DATA", "CELL_DATA"):
+            out["section"], n_data = head[0], int(head[1])
+        elif head and head[0] == "SCALARS":
+            scalars[head[1]] = np.array(lines[i + 2:i + 2 + n_data], dtype=float)
+            i += n_data + 1
+        i += 1
+    out["scalars"] = scalars
+    return out
+
+
+def assert_same_text(got, want):
+    """Equal texts, or the first line that differs (pytest's own diff of two
+    multi-megabyte strings takes minutes)."""
+    same = got == want
+    assert same, next((f"line {i}: {a!r} != {b!r}" for i, (a, b)
+                       in enumerate(zip(got.split("\n"), want.split("\n"))) if a != b),
+                      f"lengths {len(got)} != {len(want)}")
+
+
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
+class TestMultiBlockVtk:
+    @pytest.mark.parametrize("scheme", ["logdensity", "mixed"])
+    @pytest.mark.parametrize("kind,box,counts", MULTI_BLOCK)
+    def test_bytes_and_values(self, tmp_path, kind, box, counts, scheme):
+        st = multi_block_state(kind, box, counts, scheme)
+        mesh = st.mesh
+        assert min(mesh.n_vertices, mesh.n_cells) > ROW_BLOCK
+        path = tmp_path / "out.vtk"
+        write_vtk(st, path, title=f"{scheme} {kind}")
+        text = path.read_text(encoding="utf-8")
+        assert_same_text(text, savetxt_vtk(st, f"{scheme} {kind}"))
+
+        vtk = parse_vtk(text)
+        assert bitwise_equal(vtk["POINTS"][:, :mesh.dim], mesh.vertices)
+        assert bitwise_equal(vtk["POINTS"][:, mesh.dim:], np.zeros((mesh.n_vertices, 3 - mesh.dim)))
+        assert np.array_equal(vtk["CELLS"][:, 0], np.full(mesh.n_cells, mesh.cells.shape[1]))
+        assert np.array_equal(vtk["CELLS"][:, 1:], mesh.cells)
+        assert np.array_equal(vtk["CELL_TYPES"], np.full((mesh.n_cells, 1), _VTK_CELL_TYPES[mesh.cell_kind]))
+        section, _, expected = vtk_scalars(st)
+        assert vtk["section"] == section
+        assert vtk["scalars"].keys() == expected.keys()
+        for name, values in expected.items():
+            assert bitwise_equal(vtk["scalars"][name], values)
+        if scheme == "logdensity":
+            assert not st.active.all()  # the floored field is exercised
+
+    def test_peak_memory_bound(self, tmp_path):
+        # the file is 3.1 MB; the writer formats one block of rows at a time
+        mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (160, 160))
+        st = init_log_state(mesh, get_problem("gaussians", 3.0).rho0, 3.0)
+        path = tmp_path / "out.vtk"
+        tracemalloc.start()
+        try:
+            write_vtk(st, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 3_000_000
+        assert peak < 1_000_000
+
+
 class TestRunConvergence:
     def test_rows_and_monotone_errors(self):
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0,
@@ -570,6 +706,23 @@ class TestCli:
         assert cli.main(["mesh-info", str(path)]) == 0
         out = capsys.readouterr().out
         assert "strict_delaunay=True" in out
+
+    @pytest.mark.parametrize("command", ["simulate", "converge"])
+    def test_missing_output_directory_rejected_before_any_step(self, tmp_path, capsys, monkeypatch, command):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+        monkeypatch.setattr(ld, "step_logdensity", no_step)
+        missing = tmp_path / "no" / "such"
+        cfg = write_cfg(tmp_path, MINIMAL + f"levels = 2\noutput = {missing}/run\n")
+        assert cli.main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: output directory {str(missing)!r} does not exist\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_output_in_current_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, MINIMAL + "output = run\n")
+        assert cli.main(["simulate", str(cfg)]) == 0
+        assert (tmp_path / "run_final.vtk").exists()
 
     def test_bad_config_is_reported(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "scheme = warp\n")

@@ -1,5 +1,7 @@
 """Mesh construction, face orientation, cotangent weights, Delaunay checks."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -264,18 +266,26 @@ class TestPatchVolumes:
 
 
 class TestMeshIO:
+    # the last three span more than one block of write_rows
     @pytest.mark.parametrize("kind,counts", [
         ("interval", 5), ("triangle", (3, 2)), ("quad", (2, 3)), ("acute_triangle", (3, 3)),
+        ("interval", 5000), ("quad", (70, 60)), ("acute_triangle", (70, 64)),
     ])
     def test_roundtrip(self, tmp_path, kind, counts):
         box = (0, 1) if kind == "interval" else ((0, 1), (0, 1))
         m = build_structured_mesh(kind, box, counts)
         path = tmp_path / "mesh.txt"
         write_mesh(m, path)
+        reference = io.StringIO()
+        reference.write(f"{m.dim} {m.n_cells} {m.n_vertices} {m.cell_kind}\n")
+        np.savetxt(reference, m.vertices, fmt="%.17g")
+        np.savetxt(reference, m.cells, fmt="%d")
+        same = path.read_text(encoding="utf-8") == reference.getvalue()  # no multi-megabyte diff on failure
+        assert same, "write_mesh text differs from the np.savetxt reference"
         m2 = read_mesh(path)
         assert m2.cell_kind == m.cell_kind
         assert np.array_equal(m2.cells, m.cells)
-        assert np.allclose(m2.vertices, m.vertices)
+        assert m2.vertices.dtype == m.vertices.dtype and m2.vertices.tobytes() == m.vertices.tobytes()
         assert np.array_equal(m2.face_cells, m.face_cells)
         header = path.read_text().splitlines()[0].split()
         assert header == [str(m.dim), str(m.n_cells), str(m.n_vertices), m.cell_kind]
