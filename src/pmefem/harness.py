@@ -498,8 +498,12 @@ def write_vtk(state, path, title="pmefem output"):
             scalars = {"density": state.rho, "potential": state.mu}
         else:
             f.write(f"POINT_DATA {mesh.n_vertices}\n")
-            floored = np.where(state.active, np.maximum(state.u, ld.LOG_FLOOR), ld.LOG_FLOOR)
-            scalars = {"density": state.density(), "log_density": floored}
+            # the floored log-density is built after the density and in one
+            # array, so at most two whole-array fields are alive at once
+            density = state.density()
+            floored = np.maximum(state.u, ld.LOG_FLOOR, out=np.full(mesh.n_vertices, ld.LOG_FLOOR),
+                                 where=state.active)
+            scalars = {"density": density, "log_density": floored}
         for name, values in scalars.items():
             f.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
             write_rows(f, values, "%.17g\n")

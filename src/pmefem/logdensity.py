@@ -150,7 +150,8 @@ def newton_update(system: StepSystem, u, active):
     uz = np.where(active, u, 0.0)
     shift = (system.M * dens)[act]
     rhs = (system.M * (dens * uz - dens + system.exp_prev))[act]
-    x = spd_solve(system.dtA.restrict(act), shift, rhs)
+    # the solve is for the next iterate itself: start PCG from the current one
+    x = spd_solve(system.dtA.restrict(act), shift, rhs, uz[act])
     # a vertex lifted by more than one log-unit (every fresh vertex) would
     # come back down by only one per iteration on M exp(u): put it at the
     # exact solution of its own row M e^v + a v = c, with the neighbours at

@@ -298,6 +298,10 @@ def graph_matrix(n, pairs, off, diag):
     return GraphMatrix(op.indptr, op.indices, op.rows, op.diag, data)
 
 
+def no_lu(*args):
+    raise AssertionError("2D system left the PCG path")
+
+
 def stiffness_2d(seed=5, counts=(8, 8)):
     rng = np.random.default_rng(seed)
     m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), counts)
@@ -343,14 +347,28 @@ class TestSpdSolve:
         K = A.scaled(1e-2).restrict(active)
         shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_vertices
         rhs = rng.normal(size=K.n)
-
-        def no_lu(*args):
-            raise AssertionError("2D system left the PCG path")
-
         monkeypatch.setattr(assembly, "splu", no_lu)
         x = spd_solve(K, shift, rhs)
         res = K @ x + shift * x - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_start_point_keeps_contract(self, monkeypatch):
+        m, A, rng = stiffness_2d()
+        K = A.scaled(1e-2)
+        shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_vertices
+        rhs = rng.normal(size=K.n)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        exact = np.linalg.solve(K.tocsr().toarray() + np.diag(shift), rhs)
+        for x0 in (rng.normal(size=K.n), exact):
+            x = spd_solve(K, shift, rhs, x0)
+            assert np.linalg.norm(K @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_zero_start_point_is_the_cold_start(self, monkeypatch):
+        m, A, rng = stiffness_2d()
+        shift = np.full(m.n_vertices, 1e-3)
+        rhs = rng.normal(size=m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        assert np.array_equal(spd_solve(A, shift, rhs, np.zeros(m.n_vertices)), spd_solve(A, shift, rhs))
 
     def test_path_graph_solves_directly(self, monkeypatch):
         m = build_structured_mesh("interval", (0, 1), 30)
@@ -359,6 +377,21 @@ class TestSpdSolve:
         rhs = np.linspace(-1.0, 1.0, 31)
         x = spd_solve(A, np.full(31, 0.1), rhs)
         assert np.linalg.norm(A @ x + 0.1 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+        # the LU path ignores a start point
+        for x0 in (np.random.default_rng(3).normal(size=31), x):
+            assert np.array_equal(spd_solve(A, np.full(31, 0.1), rhs, x0), x)
+
+    @pytest.mark.parametrize("mesh", [("interval", (0, 1), 4), ("acute_triangle", ((0, 1), (0, 1)), (4, 4))],
+                             ids=["lu", "pcg"])
+    @pytest.mark.parametrize("bad", ["short", "column", "nan", "inf"])
+    def test_bad_start_point_rejected(self, mesh, bad):
+        m = build_structured_mesh(*mesh)
+        A = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(m.n_vertices), 2.0, all_active(m))
+        n = m.n_vertices
+        x0 = {"short": np.zeros(n - 1), "column": np.zeros((n, 1)),
+              "nan": np.where(np.arange(n) == 2, np.nan, 0.0), "inf": np.where(np.arange(n) == 2, -np.inf, 0.0)}[bad]
+        with pytest.raises(ValueError, match="start point"):
+            spd_solve(A, np.ones(n), np.ones(n), x0)
 
     @pytest.mark.parametrize("case", ["iteration_cap", "indefinite"])
     def test_forced_fallback(self, monkeypatch, case):

@@ -642,7 +642,9 @@ class TestMultiBlockVtk:
         finally:
             tracemalloc.stop()
         assert path.stat().st_size > 3_000_000
-        assert peak < 1_000_000
+        # the two nodal fields (0.21 MB each) and one block of text; a third
+        # whole-array temporary alive at once takes the peak to 0.63 MB
+        assert peak < 560_000
 
 
 class TestRunConvergence:

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import lambertw
 
-from pmefem import logdensity
+from pmefem import assembly, logdensity
 from pmefem.assembly import SolverError, VertexGraph, spd_solve
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.logdensity import (
@@ -184,6 +184,40 @@ class TestRowPredictor:
                                  counts=(40, 40), variant="vertex"))
         assert len(per_step) == 20
         assert max(per_step) <= 6  # 12-23 per step without the row predictor
+
+
+class TestWarmStart:
+    def test_fewer_pcg_products_than_a_cold_start(self, monkeypatch):
+        # the Newton solve is for the next iterate itself, so starting PCG
+        # from the current iterate saves matrix-vector products
+        mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16))
+        st = init_log_state(mesh, get_problem("horseshoe", 3.0).rho0, 3.0)
+        products, iterations = [], []
+
+        class Counted:
+            def __init__(self, K):
+                self.K = K
+
+            def __matmul__(self, x):
+                products.append(1)
+                return self.K @ x
+
+        pcg, update = assembly._jacobi_pcg, logdensity.newton_update
+        monkeypatch.setattr(assembly, "_jacobi_pcg", lambda K, *args: pcg(Counted(K), *args))
+        monkeypatch.setattr(assembly, "splu", lambda K: pytest.fail("a 2D solve left the PCG path"))
+        monkeypatch.setattr(logdensity, "newton_update", lambda *args: iterations.append(1) or update(*args))
+
+        def first_step():
+            products.clear()
+            iterations.clear()
+            return step_logdensity(st, 1e-3, "vertex"), len(products), len(iterations)
+
+        warm, warm_products, warm_iterations = first_step()
+        monkeypatch.setattr(logdensity, "spd_solve", lambda *args: spd_solve(*args[:3]))  # from 0
+        cold, cold_products, cold_iterations = first_step()
+        assert warm_iterations == cold_iterations > 1
+        assert warm_products < cold_products
+        assert np.array_equal(warm.active, cold.active)
 
 
 class TestConservationAndDissipation:

@@ -1,9 +1,9 @@
-"""Property tests: one step of either log-density variant and of the mixed
-scheme keeps mass, does not raise the energy and stays positive, for m in
-(1, 4] (the mixed scheme from m = 1.0001, see below) and compactly
-supported data, on an acute triangle mesh and (vertex variant and mixed
-scheme) on a quad mesh; the log-density support does not shrink.  Examples
-are derandomized, so every run checks the same ones."""
+"""Property tests: LOG_STEPS steps of either log-density variant and one
+step of the mixed scheme keep mass, do not raise the energy and stay
+positive, for m in (1, 4] (the mixed scheme from m = 1.0001, see below) and
+compactly supported data, on an acute triangle mesh and (vertex variant and
+mixed scheme) on a quad mesh; the log-density support does not shrink.
+Examples are derandomized, so every run checks the same ones."""
 
 import numpy as np
 import pytest
@@ -26,6 +26,9 @@ mixed_exponents = st.floats(min_value=1.0001, max_value=4.0)
 centers = st.floats(min_value=-0.4, max_value=0.4)
 radii = st.floats(min_value=0.3, max_value=0.6)
 steps = st.floats(min_value=1e-4, max_value=1e-2)
+
+#: log-density steps marched per example, each checked against the initial mass
+LOG_STEPS = 4
 
 
 def cap(cx, cy, radius):
@@ -53,17 +56,20 @@ def test_logdensity_vertex_step_quad(m, cx, cy, radius, dt):
 
 def check_logdensity_step(variant, m, cx, cy, radius, dt, mesh=MESH):
     state = ld.init_log_state(mesh, cap(cx, cy, radius), m)
-    new = ld.step_logdensity(state, dt, variant=variant)
-    # mass is kept to the Newton tolerance: where Newton converges linearly
-    # (densities far below their final value) the defect reaches ~1e-11
-    assert new.total_mass() == pytest.approx(state.total_mass(), rel=1e-10)
-    energy = ld.entropy_energy(state)
-    assert ld.entropy_energy(new) <= energy + 1e-12 * abs(energy)
-    assert not np.any(state.active & ~new.active)  # the support never shrinks
-    dens = new.density()
-    assert np.all(np.isfinite(dens))
-    assert np.all(dens[new.active] > 0)
-    assert np.all(dens[~new.active] == 0)
+    mass = state.total_mass()
+    for _ in range(LOG_STEPS):
+        new = ld.step_logdensity(state, dt, variant=variant)
+        # mass is kept to the Newton tolerance: where Newton converges linearly
+        # (densities far below their final value) the defect reaches ~1e-11
+        assert new.total_mass() == pytest.approx(mass, rel=1e-10)
+        energy = ld.entropy_energy(state)
+        assert ld.entropy_energy(new) <= energy + 1e-12 * abs(energy)
+        assert not np.any(state.active & ~new.active)  # the support never shrinks
+        dens = new.density()
+        assert np.all(np.isfinite(dens))
+        assert np.all(dens[new.active] > 0)
+        assert np.all(dens[~new.active] == 0)
+        state = new
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
