@@ -25,7 +25,7 @@ from .mesh import (
     compute_edge_geometry,
     write_rows,
 )
-from .problems import PROBLEM_NAMES, ProblemSpec, get_problem
+from .problems import COMPACTLY_SUPPORTED, PROBLEM_NAMES, ProblemSpec, get_problem
 
 SCHEMES = ("logdensity", "mixed")
 
@@ -218,6 +218,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                           "acute_triangle (the 'triangle' split has right angles)")
     if cfg.scheme == "logdensity" and cfg.variant == "edge" and cfg.mesh_kind == QUAD:
         raise ConfigError("the edge variant is simplex-only: use variant = vertex on quads")
+    if cfg.scheme == "logdensity" and cfg.variant == "edge" and cfg.problem in COMPACTLY_SUPPORTED:
+        raise ConfigError(f"the edge variant freezes the support of problem {cfg.problem!r}: its "
+                          "coefficient is 0 on every edge with an inactive end, so no vertex activates; "
+                          "use variant = vertex")
     return cfg
 
 
@@ -495,7 +499,7 @@ def write_vtk(state, path, title="pmefem output"):
         f.write(f"{_VTK_CELL_TYPES[mesh.cell_kind]}\n" * mesh.n_cells)
         if isinstance(state, mx.MixedState):
             f.write(f"CELL_DATA {mesh.n_cells}\n")
-            scalars = {"density": state.rho, "potential": state.mu}
+            scalars = {"density": state.rho, "potential": state.potential()}
         else:
             f.write(f"POINT_DATA {mesh.n_vertices}\n")
             # the floored log-density is built after the density and in one

@@ -280,26 +280,26 @@ def _acute_triangle_mesh(box, nx, ny):
 
 
 def compute_edge_geometry(mesh: Mesh) -> np.ndarray:
-    """Read-only per-face lumping weights omega of the mixed scheme: omega[f]
-    sums over the incident cells of face f the weight (1/2) cot(opposite
-    angle) on triangles, |K|/2 on quads and intervals."""
-    if mesh.cell_kind == TRIANGLE and np.any(mesh.cell_volumes <= 0):
-        raise MeshError("degenerate cell")
+    """Read-only per-face weights omega_E = d_E / |E| of the mixed scheme's
+    two-point fluxes, d_E the distance between the centres (circumcentres on
+    triangles) of the incident cells.  omega[f] sums over the incident cells
+    of face f the weight (1/2) cot(opposite angle) = (pa . pb) / (4 |K|) on
+    triangles, pa and pb the edges from the opposite vertex (the P1
+    stiffness formula), and |K| / (2 |E|^2) on quads and intervals."""
     omega = np.zeros(mesh.n_faces)
     for slot in (0, 1):
         cells = mesh.face_cells[:, slot]
         has = cells >= 0
+        vol = mesh.cell_volumes[cells[has]]
         if mesh.cell_kind == TRIANGLE:
             fc = mesh.faces[has]
             # the opposite vertex is the one not on the face
             opp = mesh.cells[cells[has]].sum(axis=1) - fc.sum(axis=1)
             pa = mesh.vertices[fc[:, 0]] - mesh.vertices[opp]
             pb = mesh.vertices[fc[:, 1]] - mesh.vertices[opp]
-            cosang = np.einsum("ij,ij->i", pa, pb)
-            cosang /= np.linalg.norm(pa, axis=1) * np.linalg.norm(pb, axis=1)
-            omega[has] += 0.5 / np.tan(np.arccos(np.clip(cosang, -1.0, 1.0)))
+            omega[has] += np.einsum("ij,ij->i", pa, pb) / (4.0 * vol)
         else:
-            omega[has] += 0.5 * mesh.cell_volumes[cells[has]]
+            omega[has] += 0.5 * vol / mesh.face_measures[has] ** 2
     return _readonly(omega)
 
 

@@ -1,17 +1,18 @@
-"""Mixed scheme: piecewise-constant density/potential with face-normal fluxes.
+"""Mixed scheme: piecewise-constant density and potential with two-point face fluxes.
 
 Static condensation with a lumped velocity mass turns the velocity equation
 into a per-face two-point formula, so each time step reduces to a nonlinear
 system for the cell densities alone:
 
-    |K| (rho_K^n - rho_K^{n-1}) + dt * sum_E rhohat_E u_E^n (n_E . n_K) |E| = 0
+    |K| (rho_K^n - rho_K^{n-1}) + dt * sum_E rhohat_E F_E^n (n_E . n_K) = 0
 
-with u_E = |E| (mu_K1 - mu_K2) / omega_E, mu = m/(m-1) rho^{m-1}, and
-rhohat the previous density upwinded by the sign of u_E.  The sign
-dependence makes the system semismooth: Newton steps are taken with frozen
-upwind directions.  Their Jacobian V + L D (V = diag|K|, L the graph
-Laplacian of the face weights dt rhat |E|^2 / w_E, D = diag(dmu/drho)) is an
-SPD matrix times a diagonal, so the shared SPD solve gives y = D delta.
+with the flux F_E = |E| u.n_E = (mu_K1 - mu_K2) / omega_E, omega_E = d_E/|E|,
+mu = m/(m-1) rho^{m-1}, and rhohat the previous density upwinded by the
+sign of F_E.  The sign dependence makes the system semismooth: Newton steps
+are taken with frozen upwind directions.  Their Jacobian V + L D
+(V = diag|K|, L the graph Laplacian of the face weights dt rhat / omega_E,
+D = diag(dmu/drho)) is an SPD matrix times a diagonal, so the shared SPD
+solve gives y = D delta.
 
 An update is halved only while the iteration oscillates: the residual did
 not decrease and the upwind values changed since the previous iterate; full
@@ -30,64 +31,44 @@ import numpy as np
 
 from .assembly import NEWTON_TOL, GraphOperator, SolverError
 from .assembly import spd_solve as spsolve
-from .mesh import TRIANGLE, Mesh, MeshError, is_delaunay
-
-
-def velocity_lumped_weights(mesh: Mesh, omega) -> np.ndarray:
-    """Diagonal weights of the lumped velocity mass matrix, per face, in the
-    normal-component convention: the lumped rule reads sum_E w_E (u.n_E)^2.
-
-    The cotangent weights lump the integrated face flux |E| u.n_E (they are
-    dimensionless, and the constant-field identity
-    int_K |u|^2 = sum_E (1/2) cot(theta) (|E| u.n_E)^2 holds exactly), so on
-    triangles they convert to component weights by a factor |E|^2.  Quad and
-    interval weights |K|/2 are already component weights."""
-    if mesh.cell_kind == TRIANGLE:
-        return omega * mesh.face_measures**2
-    return omega.copy()
+from .mesh import Mesh, MeshError, is_delaunay
 
 
 class CellGraph(GraphOperator):
     """Cell graph of the mixed scheme, cells joined by an interior face in
-    face order, with the face table of its two-point fluxes: the interior
-    mask, the incident cells k1 -> k2, the measures |E| and the lumped
-    velocity weights w_E from the face weights ``omega``.  Rejects meshes
-    that are not strictly Delaunay, whose faces static condensation cannot
-    turn into two-point fluxes."""
+    face order, with the face table of its two-point fluxes: the incident
+    cells k1 -> k2 and the face weights ``omega`` = d_E/|E| of the interior
+    faces.  Rejects meshes that are not strictly Delaunay, whose faces
+    static condensation cannot turn into two-point fluxes."""
 
     def __init__(self, mesh: Mesh, omega):
         if not is_delaunay(mesh, omega, strict=True):
             raise MeshError("interior face weight below threshold; mesh is not strictly Delaunay")
-        self.interior = mesh.interior_faces
-        pairs = mesh.face_cells[self.interior]
+        pairs = mesh.face_cells[mesh.interior_faces]
         super().__init__(mesh.n_cells, pairs)
         self.k1, self.k2 = pairs.T
-        self.measure = mesh.face_measures[self.interior]
-        self.weight = velocity_lumped_weights(mesh, omega)[self.interior]
+        self.omega = omega[mesh.interior_faces]
 
-    def velocity(self, mu):
-        """Interior-face velocities u_E = |E| (mu_k1 - mu_k2) / w_E."""
-        return self.measure * (mu[self.k1] - mu[self.k2]) / self.weight
+    def flux(self, mu):
+        """Interior-face fluxes |E| u.n_E = (mu_k1 - mu_k2) / omega_E, along k1 -> k2."""
+        return (mu[self.k1] - mu[self.k2]) / self.omega
 
 
 @dataclass(frozen=True)
 class MixedState:
-    """Cell densities/potentials and signed normal face fluxes.
-
-    rho >= 0 per cell (to solver slack), mu = m/(m-1) rho^{m-1}, u is the
-    normal velocity component along each face normal; boundary faces carry
-    u = 0 (no-flux condition built into the velocity space).  ``graph`` is
-    the mesh's :class:`CellGraph`, built by :func:`init_mixed_state` and
-    passed on by every step.
-    """
+    """Cell densities rho >= 0 (to solver slack); the potential and the
+    face fluxes are functions of them.  ``graph`` is the mesh's
+    :class:`CellGraph`, built by :func:`init_mixed_state` and passed on by
+    every step."""
 
     mesh: Mesh
     m: float
     rho: np.ndarray
-    mu: np.ndarray
-    u: np.ndarray
     graph: CellGraph = field(repr=False)
     time: float = 0.0
+
+    def potential(self) -> np.ndarray:
+        return potential_from_density(self.rho, self.m)
 
     def total_mass(self) -> float:
         return float(self.mesh.cell_volumes @ self.rho)
@@ -99,26 +80,15 @@ def potential_from_density(rho, m):
     return m / (m - 1.0) * np.maximum(np.asarray(rho, dtype=float), 0.0) ** (m - 1.0)
 
 
-def condense_velocity(mu, graph: CellGraph) -> np.ndarray:
-    """Per-face normal velocity from the cell potentials: the two-point
-    formula on interior faces, 0 on the boundary."""
-    u = np.zeros(graph.interior.size)
-    u[graph.interior] = graph.velocity(np.asarray(mu, dtype=float))
-    return u
-
-
 def init_mixed_state(mesh: Mesh, rho0, m, omega) -> MixedState:
-    """Sample the pointwise initial density at cell barycenters; potential
-    and flux follow from the closure and condensation on the face weights
-    ``omega`` of :func:`~pmefem.mesh.compute_edge_geometry`."""
+    """Sample the pointwise initial density at cell barycenters; the fluxes use
+    the face weights ``omega`` of :func:`~pmefem.mesh.compute_edge_geometry`."""
     rho = np.asarray(rho0(mesh.cell_barycenters()), dtype=float)
     if rho.shape != (mesh.n_cells,):
         raise ValueError("initial density must return one value per cell")
     if np.any(rho < 0):
         raise ValueError("initial density must be nonnegative")
-    mu = potential_from_density(rho, m)
-    graph = CellGraph(mesh, omega)
-    return MixedState(mesh=mesh, m=float(m), rho=rho, mu=mu, u=condense_velocity(mu, graph), graph=graph)
+    return MixedState(mesh=mesh, m=float(m), rho=rho, graph=CellGraph(mesh, omega))
 
 
 def _dmu(rho, m):
@@ -150,35 +120,32 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     mesh, m, graph = state.mesh, state.m, state.graph
-    k1, k2, measure, weight = graph.k1, graph.k2, graph.measure, graph.weight
+    k1, k2 = graph.k1, graph.k2
     n, vol = mesh.n_cells, mesh.cell_volumes
     rho_prev = state.rho
     dt = float(dt)
 
-    def balance(rho, u_int, rhat):
-        f = dt * (rhat * u_int * measure)
+    def balance(rho, flux, rhat):
+        f = dt * (rhat * flux)
         return vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
 
-    rho = rho_prev.copy()
+    rho = rho_prev
     rhat_last = res_last = None
     coupled = np.zeros(n, dtype=bool)
     for it in range(2 * max_iter + 1):
-        mu = potential_from_density(rho, m)
-        u_int = graph.velocity(mu)
-        rhat = np.where(u_int >= 0, rho_prev[k1], rho_prev[k2])
-        r = balance(rho, u_int, rhat)
+        flux = graph.flux(potential_from_density(rho, m))
+        rhat = np.where(flux >= 0, rho_prev[k1], rho_prev[k2])
+        r = balance(rho, flux, rhat)
         res = float(np.max(np.abs(r)))
         settled = rhat_last is None or np.array_equal(rhat, rhat_last)
-        if res <= NEWTON_TOL and (settled or np.max(np.abs(balance(rho, u_int, rhat_last))) <= NEWTON_TOL):
-            if it == 0:
-                return replace(state, time=state.time + dt)
-            return replace(state, rho=rho, mu=mu, u=condense_velocity(mu, graph), time=state.time + dt)
+        if res <= NEWTON_TOL and (settled or np.max(np.abs(balance(rho, flux, rhat_last))) <= NEWTON_TOL):
+            return replace(state, rho=rho, time=state.time + dt)
         if it == 2 * max_iter:
             raise SolverError(f"mixed Newton did not converge in {it} iterations: "
                               f"residual {res:.3e} on {coupled.sum()} coupled cells")
 
         # Newton step with frozen upwind directions
-        g = dt * rhat * measure**2 / weight
+        g = dt * rhat / graph.omega
         delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
                                         _dmu(rho, m), vol, r)
         if not np.all(np.isfinite(delta)):
@@ -191,13 +158,13 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
 
 
 def cfl_max_dt(state: MixedState):
-    """Largest positivity-preserving step per cell, 1 / sum over outflow
-    faces of |u . n_K| |E| / |K|, and its global minimum.  Cells without
-    outflow report +inf."""
+    """Largest positivity-preserving step per cell, |K| over the sum of the
+    fluxes out of K, and its global minimum.  Cells without outflow report
+    +inf."""
     mesh, graph = state.mesh, state.graph
-    u = state.u[graph.interior]
-    outflow = (np.bincount(graph.k1, np.maximum(u, 0.0) * graph.measure, mesh.n_cells)
-               + np.bincount(graph.k2, np.maximum(-u, 0.0) * graph.measure, mesh.n_cells))
+    flux = graph.flux(state.potential())
+    outflow = (np.bincount(graph.k1, np.maximum(flux, 0.0), mesh.n_cells)
+               + np.bincount(graph.k2, np.maximum(-flux, 0.0), mesh.n_cells))
     per_cell = np.full(mesh.n_cells, np.inf)
     with np.errstate(over="ignore"):
         np.divide(mesh.cell_volumes, outflow, out=per_cell, where=outflow > 0)

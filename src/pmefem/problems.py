@@ -119,6 +119,9 @@ class ProblemSpec:
 
 PROBLEM_NAMES = ("barenblatt1d", "barenblatt2d", "waiting", "gaussians", "horseshoe")
 
+#: problems whose initial density vanishes outside a compact support
+COMPACTLY_SUPPORTED = ("barenblatt1d", "barenblatt2d", "waiting", "horseshoe")
+
 
 def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
     """Look up a catalog entry by name, binding m and the data parameters."""

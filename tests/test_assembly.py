@@ -18,7 +18,7 @@ from pmefem.assembly import (
 
 )
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
-from pmefem.mixed import init_mixed_state, velocity_lumped_weights
+from pmefem.mixed import init_mixed_state
 
 
 def all_active(mesh):
@@ -246,6 +246,25 @@ class TestEdgeWeights:
         assert graph.n_edges == m.n_faces
         assert np.max(np.abs(graph.edge_weight[edge] - omega) / omega) <= 1e-15
 
+    @pytest.mark.parametrize("mesh", [
+        make_mesh([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-9)], [(0, 1, 2)], "triangle"),  # sliver
+        make_mesh([(0.0, 0.0), (1.0, 0.0), (0.3, 1e-5)], [(0, 1, 2)], "triangle"),
+        build_structured_mesh("triangle", ((0, 2), (-1, 1)), (5, 4)),
+        build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16)),
+    ], ids=["sliver", "thin", "triangle", "acute"])
+    def test_face_weights_match_p1_stiffness(self, mesh):
+        # both from (pa . pb) / (4|K|): no angle is formed, so slivers keep
+        # their weights finite and exact
+        graph = VertexGraph(mesh)
+        with np.errstate(all="raise"):
+            omega = compute_edge_geometry(mesh)
+        ends = np.sort(mesh.faces, axis=1)
+        edge = np.searchsorted(graph.ei * mesh.n_vertices + graph.ej,
+                               ends[:, 0] * mesh.n_vertices + ends[:, 1])
+        assert graph.n_edges == mesh.n_faces
+        w = graph.edge_weight[edge]
+        assert np.all(np.abs(omega - w) <= 1e-13 * np.abs(w))
+
     def test_weights_computed_once_on_first_use(self, monkeypatch):
         m = MESHES["acute"]()
         calls = []
@@ -261,31 +280,35 @@ class TestEdgeWeights:
 
 
 class TestVelocityWeights:
+    """The lumped velocity weights through the mixed scheme's face weights
+    omega_E = d_E/|E|: the weight of the normal component is omega_E |E|^2."""
+
     def test_uniform_quad_interior(self):
         h = 0.25
         m = build_structured_mesh("quad", ((0, 1), (0, 1)), (4, 4))
-        w = velocity_lumped_weights(m, compute_edge_geometry(m))
-        assert w[m.interior_faces] == pytest.approx(h * h)
+        omega = compute_edge_geometry(m)
+        assert omega[m.interior_faces] == pytest.approx(1.0)  # d_E = |E| = h
+        assert (omega * m.face_measures**2)[m.interior_faces] == pytest.approx(h * h)
 
     def test_two_equilateral_triangles(self):
         s3 = np.sqrt(3) / 2
         verts = [(0.0, 0.0), (1.0, 0.0), (0.5, s3), (0.5, -s3)]
         m = make_mesh(verts, [(0, 1, 2), (0, 3, 1)], "triangle")
-        w = velocity_lumped_weights(m, compute_edge_geometry(m))
+        omega = compute_edge_geometry(m)
         shared = int(np.flatnonzero(m.interior_faces)[0])
-        assert w[shared] == pytest.approx(1 / np.sqrt(3))  # unit edge: cot factor
+        assert omega[shared] == pytest.approx(1 / np.sqrt(3))  # unit edge: cot factor
 
     def test_right_angle_contributes_zero(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
         m = make_mesh(verts, [(0, 1, 2)], "triangle")
-        w = velocity_lumped_weights(m, compute_edge_geometry(m))
+        omega = compute_edge_geometry(m)
         hyp = [i for i, f in enumerate(m.faces) if set(f) == {1, 2}][0]
-        assert w[hyp] == pytest.approx(0.0, abs=1e-14)
+        assert omega[hyp] == pytest.approx(0.0, abs=1e-14)
 
     def test_strict_delaunay_weights_positive(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (6, 6))
-        w = velocity_lumped_weights(m, compute_edge_geometry(m))
-        assert np.all(w[m.interior_faces] > 0)
+        omega = compute_edge_geometry(m)
+        assert np.all(omega[m.interior_faces] > 0)
 
 
 def graph_matrix(n, pairs, off, diag):

@@ -95,6 +95,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="log-density scheme only"):
             parse_config(mixed, {"variant": "vertex"})
 
+    @pytest.mark.parametrize("problem", ["barenblatt1d", "barenblatt2d", "waiting", "horseshoe"])
+    def test_edge_variant_rejects_compact_support(self, tmp_path, problem):
+        # on simplices, where the edge variant is otherwise accepted
+        kind = "interval" if problem in ("barenblatt1d", "waiting") else "acute_triangle"
+        text = MINIMAL.replace("barenblatt1d", problem) + f"mesh = {kind}\n"
+        message = f"edge variant freezes the support of problem '{problem}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_cfg(tmp_path, text + "variant = edge\n"))
+        with pytest.raises(ConfigError, match=message):
+            run_simulation(RunConfig(scheme="logdensity", problem=problem, m=2.0, dt=0.1, T=1.0,
+                                     mesh_kind=kind, variant="edge"))
+        parse_config(write_cfg(tmp_path, text + "variant = vertex\n"))
+
     def test_autohalve_is_mixed_only(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, MINIMAL + "cfl_autohalve = true\n"))
@@ -337,8 +350,9 @@ class TestRunSimulation:
         calls = []
         real = harness.compute_edge_geometry
         monkeypatch.setattr(harness, "compute_edge_geometry", lambda mesh: calls.append(mesh) or real(mesh))
-        for variant in ld.VARIANTS:
-            cfg = RunConfig(scheme="logdensity", problem="horseshoe", m=3.0, dt=1e-3, T=2e-3,
+        # the edge variant rejects compactly supported data such as the horseshoe
+        for problem, variant in (("horseshoe", "vertex"), ("gaussians", "edge")):
+            cfg = RunConfig(scheme="logdensity", problem=problem, m=3.0, dt=1e-3, T=2e-3,
                             counts=(8, 8), variant=variant)
             run_simulation(cfg)
         assert calls == []
@@ -563,7 +577,7 @@ def savetxt_vtk(state, title):
 def vtk_scalars(state):
     """The data section, its size and the fields write_vtk should write."""
     if isinstance(state, mx.MixedState):
-        return "CELL_DATA", state.mesh.n_cells, {"density": state.rho, "potential": state.mu}
+        return "CELL_DATA", state.mesh.n_cells, {"density": state.rho, "potential": state.potential()}
     floored = np.where(state.active, np.maximum(state.u, ld.LOG_FLOOR), ld.LOG_FLOOR)
     return "POINT_DATA", state.mesh.n_vertices, {"density": state.density(), "log_density": floored}
 

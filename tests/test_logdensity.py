@@ -278,6 +278,21 @@ class TestBoundPreservation:
             assert hi2 <= hi + 1e-9
             lo, hi = lo2, hi2
 
+    @pytest.mark.parametrize("problem,counts", [("barenblatt1d", (100,)), ("horseshoe", (16, 16))])
+    def test_edge_variant_freezes_a_compact_support(self, problem, counts):
+        # the edge coefficient is 0 on every edge with an inactive end, so no
+        # vertex ever activates while the vertex variant's front moves: why
+        # the config rejects the edge variant on compactly supported data
+        spec = get_problem(problem, 2.0)
+        kind = "interval" if spec.dim == 1 else "acute_triangle"
+        mesh = build_structured_mesh(kind, spec.domain, counts)
+        edge = vertex = st0 = init_log_state(mesh, spec.rho0, 2.0)
+        for _ in range(10):
+            edge = step_logdensity(edge, 0.05, variant="edge")
+            vertex = step_logdensity(vertex, 0.05, variant="vertex")
+            assert np.array_equal(edge.active, st0.active)
+        assert vertex.active.sum() > st0.active.sum()
+
     def test_front_advances_with_vertex_variant(self):
         mesh = build_structured_mesh("interval", (-10, 10), 100)
         st = init_log_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0)

@@ -198,8 +198,9 @@ class TestEdgeGeometry:
         m = build_structured_mesh("quad", ((0, 1), (0, 1)), (2, 2))
         omega = compute_edge_geometry(m)
         interior = m.interior_faces
-        assert omega[interior] == pytest.approx(0.25)   # two cells x |K|/2
-        assert omega[~interior] == pytest.approx(0.125)
+        # d_E/|E|: two cells x |K|/(2|E|^2) inside, one on the boundary
+        assert omega[interior] == pytest.approx(1.0)
+        assert omega[~interior] == pytest.approx(0.5)
         m1 = build_structured_mesh("interval", (0, 1), 4)
         omega1 = compute_edge_geometry(m1)
         assert omega1[m1.interior_faces] == pytest.approx(0.25)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pmefem import mixed
+from pmefem import harness, mixed
 from pmefem.assembly import SolverError, spd_solve
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.mesh import MeshError, build_structured_mesh, compute_edge_geometry, make_mesh
@@ -13,22 +13,22 @@ from pmefem.mixed import (
     _dmu,
     _newton_update,
     cfl_max_dt,
-    condense_velocity,
     init_mixed_state,
     physical_energy,
     potential_from_density,
     step_mixed,
-    velocity_lumped_weights,
 )
 from pmefem.problems import barenblatt, get_problem, merging_gaussians
 
 
 def state_from_rho(mesh, rho, m=2.0):
     graph = CellGraph(mesh, compute_edge_geometry(mesh))
-    rho = np.asarray(rho, float)
-    mu = potential_from_density(rho, m)
-    u = condense_velocity(mu, graph)
-    return MixedState(mesh=mesh, m=m, rho=rho, mu=mu, u=u, graph=graph)
+    return MixedState(mesh=mesh, m=m, rho=np.asarray(rho, float), graph=graph)
+
+
+def fluxes(state):
+    """The state's interior-face fluxes, from its potential."""
+    return state.graph.flux(state.potential())
 
 
 class TestInit:
@@ -36,7 +36,7 @@ class TestInit:
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (3, 3))
         st = init_mixed_state(mesh, lambda pts: np.ones(len(pts)), 2.0, compute_edge_geometry(mesh))
         assert st.rho == pytest.approx(np.ones(9))
-        assert st.u == pytest.approx(np.zeros(mesh.n_faces))
+        assert fluxes(st) == pytest.approx(np.zeros(mesh.interior_faces.sum()))
 
     def test_barenblatt_outside_cells_zero(self):
         mesh = build_structured_mesh("interval", (-10, 10), 100)
@@ -64,23 +64,25 @@ class TestCondensation:
     def test_equal_potentials_no_flow(self):
         mesh = build_structured_mesh("interval", (0, 2), 2)
         omega = compute_edge_geometry(mesh)
-        u = condense_velocity(np.array([1.3, 1.3]), CellGraph(mesh, omega))
-        assert u == pytest.approx(np.zeros(3))
+        flux = CellGraph(mesh, omega).flux(np.array([1.3, 1.3]))
+        assert flux == pytest.approx(np.zeros(1))
 
     def test_1d_hand_value(self):
-        # uniform h=1: interior node weight 1, |E|=1, mu=(2,0) -> u=2
+        # uniform h=1: interior node weight d_E/|E| = 1, mu=(2,0) -> flux 2
         mesh = build_structured_mesh("interval", (0, 2), 2)
         omega = compute_edge_geometry(mesh)
-        u = condense_velocity(np.array([2.0, 0.0]), CellGraph(mesh, omega))
-        interior = int(np.flatnonzero(mesh.interior_faces)[0])
-        assert u[interior] == pytest.approx(2.0)
+        assert CellGraph(mesh, omega).flux(np.array([2.0, 0.0])) == pytest.approx([2.0])
 
     def test_boundary_faces_zero(self):
+        # the face table holds the interior faces only, so the fluxes of any
+        # potential move no mass across the boundary
         mesh = build_structured_mesh("quad", ((0, 1), (0, 1)), (3, 3))
-        omega = compute_edge_geometry(mesh)
-        rng = np.random.default_rng(0)
-        u = condense_velocity(rng.uniform(0, 2, mesh.n_cells), CellGraph(mesh, omega))
-        assert np.all(u[~mesh.interior_faces] == 0.0)
+        graph = CellGraph(mesh, compute_edge_geometry(mesh))
+        assert np.array_equal(np.column_stack([graph.k1, graph.k2]), mesh.face_cells[mesh.interior_faces])
+        flux = graph.flux(np.random.default_rng(0).uniform(0, 2, mesh.n_cells))
+        assert flux.shape == (12,)
+        net = np.bincount(graph.k2, flux, mesh.n_cells) - np.bincount(graph.k1, flux, mesh.n_cells)
+        assert net.sum() == pytest.approx(0.0, abs=1e-14)
 
     def test_nonstrict_mesh_rejected(self):
         verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -94,7 +96,8 @@ class TestCondensation:
     def test_consistency_on_acute_triangles(self):
         # the aggregated cotangent weight equals (circumcenter distance)/|E|,
         # so a linear potential sampled at circumcenters reproduces its
-        # normal gradient exactly through the two-point formula
+        # integrated normal gradient |E| dmu/dn exactly through the two-point
+        # formula
         mesh = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (8, 8))
         omega = compute_edge_geometry(mesh)
         cc = np.empty((mesh.n_cells, 2))
@@ -104,35 +107,61 @@ class TestCondensation:
             rhs = np.array([B @ B - A @ A, C @ C - A @ A])
             cc[ci] = np.linalg.solve(lhs, rhs)
         mu = 2.0 * cc[:, 0]                         # grad(mu) = (2, 0)
-        u = condense_velocity(mu, CellGraph(mesh, omega))
+        flux = CellGraph(mesh, omega).flux(mu)
         interior = mesh.interior_faces
         # unit normal of each face: the right-rotation of its edge, outward
         # from its first (counterclockwise) cell
         t = mesh.vertices[mesh.faces[:, 1]] - mesh.vertices[mesh.faces[:, 0]]
         normal_x = t[:, 1] / np.hypot(t[:, 0], t[:, 1])
-        expected = -2.0 * normal_x[interior]
-        assert u[interior] == pytest.approx(expected, abs=1e-10)
+        expected = -2.0 * normal_x[interior] * mesh.face_measures[interior]
+        assert flux == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", ["interval", "quad"])
+    def test_consistency_on_tensor_grids(self, kind):
+        # omega_E = d_E/|E| on intervals and quads, so a linear potential
+        # sampled at the cell centres gives each face's |E| dmu/dn through
+        # the two-point formula, here on grids of random spacings
+        rng = np.random.default_rng(4)
+        xs, ys = (np.cumsum(rng.uniform(0.5, 1.5, 9)) for _ in range(2))
+        i, j = (a.ravel() for a in np.meshgrid(np.arange(8), np.arange(8)))
+        if kind == "interval":
+            mesh = make_mesh(xs, np.column_stack([np.arange(8), np.arange(1, 9)]), kind)
+        else:
+            v00 = 9 * j + i
+            mesh = make_mesh(np.column_stack([np.tile(xs, 9), np.repeat(ys, 9)]),
+                             np.column_stack([v00, v00 + 1, v00 + 10, v00 + 9]), kind)
+        grad = np.array([2.0, -0.7])[:mesh.dim]
+        centres = mesh.cell_barycenters()
+        graph = CellGraph(mesh, compute_edge_geometry(mesh))
+        d = centres[graph.k2] - centres[graph.k1]
+        normal = d / np.linalg.norm(d, axis=1)[:, None]
+        expected = -mesh.face_measures[mesh.interior_faces] * (normal @ grad)
+        assert graph.flux(centres @ grad) == pytest.approx(expected, rel=1e-12)
 
 
 class TestCellGraph:
     def test_face_table_built_once_per_run(self, monkeypatch):
-        calls = []
-        weights = mixed.velocity_lumped_weights
-        monkeypatch.setattr(mixed, "velocity_lumped_weights", lambda *args: calls.append(1) or weights(*args))
+        geometry, graphs = [], []
+        real_geometry, real_graph = harness.compute_edge_geometry, mixed.CellGraph
+        monkeypatch.setattr(harness, "compute_edge_geometry",
+                            lambda *args: geometry.append(1) or real_geometry(*args))
+        monkeypatch.setattr(mixed, "CellGraph", lambda *args: graphs.append(1) or real_graph(*args))
         cfg = RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=5e-3, counts=(8, 8))
         _, records = run_simulation(cfg)
         assert len(records) == 5
-        assert len(calls) == 1
+        assert len(geometry) == 1
+        assert len(graphs) == 1
 
 
 class TestUpwind:
     def test_direction(self):
-        # h = 1, w_E = 1, m = 2 and the normal points from cell 0 to cell 1:
-        # u = 2 (rho_0 - rho_1), so the step keeps rho_0 + rho_1 and solves
-        # (rho_0 - rho_1)(1 + 4 dt rhat) = rho_0^prev - rho_1^prev.  The upwind
-        # cell is cell 0 when u > 0 (along the normal) and cell 1 when u < 0
-        # (against it); either way rhat = 2, where the downwind value 1 would
-        # give another step.  With u = 0 the choice is immaterial.
+        # h = 1, omega_E = 1, m = 2 and the normal points from cell 0 to cell
+        # 1: the flux is 2 (rho_0 - rho_1), so the step keeps rho_0 + rho_1
+        # and solves (rho_0 - rho_1)(1 + 4 dt rhat) = rho_0^prev - rho_1^prev.
+        # The upwind cell is cell 0 when the flux is positive (along the
+        # normal) and cell 1 when it is negative (against it); either way
+        # rhat = 2, where the downwind value 1 would give another step.  With
+        # no flux the choice is immaterial.
         mesh = build_structured_mesh("interval", (0, 2), 2)
         dt = 0.25
         for rho_prev in ([2.0, 1.0], [1.0, 2.0], [1.0, 1.0]):
@@ -140,7 +169,7 @@ class TestUpwind:
             diff = (rho_prev[0] - rho_prev[1]) / (1 + 4 * dt * max(rho_prev))
             total = sum(rho_prev)
             assert new.rho == pytest.approx([(total + diff) / 2, (total - diff) / 2], abs=1e-10)
-            assert np.sign(new.u[mesh.interior_faces]) == np.sign(rho_prev[0] - rho_prev[1])
+            assert np.sign(fluxes(new)) == np.sign(rho_prev[0] - rho_prev[1])
 
 
 class TestStep:
@@ -149,8 +178,7 @@ class TestStep:
         st = state_from_rho(mesh, [1.0, 0.0], m=2.0)
         new = step_mixed(st, 0.25)
         assert new.rho == pytest.approx([0.75, 0.25], abs=1e-9)
-        interior = int(np.flatnonzero(mesh.interior_faces)[0])
-        assert new.u[interior] == pytest.approx(1.0, abs=1e-9)
+        assert fluxes(new) == pytest.approx([1.0], abs=1e-9)
 
     def test_two_cell_against_2x2_oracle(self):
         # direct solve of the frozen-sign nonlinear 2x2 system by bisection on
@@ -168,7 +196,7 @@ class TestStep:
         st = state_from_rho(mesh, np.full(mesh.n_cells, 0.8), m=3.0)
         new = step_mixed(st, 0.3)
         assert np.array_equal(new.rho, st.rho)
-        assert np.array_equal(new.u, st.u)
+        assert not np.any(fluxes(new))
 
     def test_local_mass_balance(self):
         mesh = build_structured_mesh("interval", (-10, 10), 50)
@@ -181,21 +209,28 @@ class TestStep:
         interior = mesh.interior_faces
         k1 = mesh.face_cells[interior, 0]
         k2 = mesh.face_cells[interior, 1]
-        uf = new.u[interior]
+        uf = fluxes(new)
         rhat = np.where(uf >= 0, st.rho[k1], st.rho[k2])
-        flux = rhat * uf * mesh.face_measures[interior]
+        flux = rhat * uf
         np.add.at(resid, k1, dt * flux)
         np.subtract.at(resid, k2, dt * flux)
         assert np.max(np.abs(resid)) <= 1e-10
 
     def test_condensation_consistency_after_step(self):
-        mesh = build_structured_mesh("quad", ((-6, 6), (-6, 6)), (8, 8))
+        # the stepped state's potential and fluxes follow from its density:
+        # on quads, the flux |E| u.n_E with the lumped velocity weight
+        # w_E = (|K1| + |K2|)/2 of the normal component
+        mesh = build_structured_mesh("quad", ((-6, 6), (-5, 5)), (8, 10))
         st = init_mixed_state(mesh, lambda pts: barenblatt(pts, 0.0, 2, 1.0, 2), 2.0,
                               compute_edge_geometry(mesh))
         new = step_mixed(st, 0.05)
-        omega = compute_edge_geometry(mesh)
-        assert new.u == pytest.approx(condense_velocity(new.mu, CellGraph(mesh, omega)), abs=1e-12)
-        assert new.mu == pytest.approx(potential_from_density(new.rho, 2.0), rel=1e-12)
+        mu = new.potential()
+        assert mu == pytest.approx(2.0 * new.rho, rel=1e-15)
+        interior = mesh.interior_faces
+        k1, k2 = mesh.face_cells[interior].T
+        measure = mesh.face_measures[interior]
+        u = measure * (mu[k1] - mu[k2]) / (0.5 * (mesh.cell_volumes[k1] + mesh.cell_volumes[k2]))
+        assert fluxes(new) == pytest.approx(measure * u, rel=1e-13, abs=1e-15)
 
     def test_nonpositive_dt(self):
         mesh = build_structured_mesh("interval", (0, 1), 2)
@@ -247,26 +282,21 @@ class TestCfl:
         assert np.isinf(bound)
 
     def test_single_outflow_unit(self):
+        # m = 2: mu = (2, 1), so flux 1 leaves the left cell (|K| = 1) on its
+        # one outflow face
         mesh = build_structured_mesh("interval", (0, 2), 2)
-        st = state_from_rho(mesh, [1.0, 1.0])
-        u = st.u.copy()
-        interior = int(np.flatnonzero(mesh.interior_faces)[0])
-        u[interior] = 1.0   # |K|=1, |E|=1, one outflow face for the left cell
-        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u, graph=st.graph)
+        st = state_from_rho(mesh, [1.0, 0.5])
+        assert fluxes(st) == pytest.approx([1.0])
         per_cell, bound = cfl_max_dt(st)
         assert bound == pytest.approx(1.0)
+        assert per_cell[1] == np.inf
 
     def test_two_outflow_faces_halve(self):
+        # m = 2: mu = (1, 2, 1), so the middle cell loses mass through both
+        # faces at unit flux
         mesh = build_structured_mesh("interval", (0, 3), 3)
-        st = state_from_rho(mesh, [1.0, 1.0, 1.0])
-        u = st.u.copy()
-        ints = np.flatnonzero(mesh.interior_faces)
-        # middle cell loses mass through both faces at unit speed
-        touching = [f for f in ints if 1 in mesh.face_cells[f]]
-        for f in touching:
-            k1, _ = mesh.face_cells[f]
-            u[f] = 1.0 if k1 == 1 else -1.0  # outflow from cell 1 on both faces
-        st = MixedState(mesh=mesh, m=st.m, rho=st.rho, mu=st.mu, u=u, graph=st.graph)
+        st = state_from_rho(mesh, [0.5, 1.0, 0.5])
+        assert np.abs(fluxes(st)) == pytest.approx([1.0, 1.0])
         per_cell, _ = cfl_max_dt(st)
         assert per_cell[1] == pytest.approx(0.5)
 
@@ -306,7 +336,7 @@ class TestSignChatter:
 class TestNewtonUpdate:
     """The update meets the unsymmetric Newton system (V + L_g D) delta = -r,
     with V = diag|K|, L_g the Laplacian of the face weights
-    g = dt rhat |E|^2 / w_E and D = diag(dmu/drho), although only SPD systems
+    g = dt rhat / omega_E and D = diag(dmu/drho), although only SPD systems
     are solved."""
 
     MESH = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (10, 10))
@@ -319,10 +349,9 @@ class TestNewtonUpdate:
         mesh = state.mesh
         interior = mesh.interior_faces
         k1, k2 = mesh.face_cells[interior].T
-        measure = mesh.face_measures[interior]
         mu = potential_from_density(rho, state.m)
         rhat = np.where(mu[k1] >= mu[k2], state.rho[k1], state.rho[k2])
-        g = dt * rhat * measure**2 / velocity_lumped_weights(mesh, compute_edge_geometry(mesh))[interior]
+        g = dt * rhat / compute_edge_geometry(mesh)[interior]
         dmu = _dmu(rho, state.m)
         jac = np.diag(mesh.cell_volumes)
         for a, b, ga in zip(k1, k2, g):
