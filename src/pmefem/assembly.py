@@ -25,30 +25,60 @@ class SolverError(RuntimeError):
 NEWTON_TOL = 1e-11
 
 
-class GraphOperator:
-    """Fixed CSR pattern of a weighted graph Laplacian plus a diagonal, built
-    once per mesh on vertices (log-density) or cells (mixed) and carried on
-    the state.  It holds every diagonal entry and both directions of every
+class Pattern:
+    """Fixed symmetric CSR pattern: ``indptr``/``indices``, the row of every
+    entry and the position of every diagonal entry.  It keeps the sub-pattern
+    of the last mask it was restricted to, as one entry (a copy of the mask,
+    the kept entry positions and the sub-pattern) that is replaced whole."""
+
+    def __init__(self, indptr, indices, rows, diag):
+        self.indptr, self.indices, self.rows, self.diag = indptr, indices, rows, diag
+        self.n, self.nnz = len(indptr) - 1, len(indices)
+        self._last = None
+
+    def restricted(self, mask):
+        """(keep, sub): the positions of the entries whose row and column
+        both hold in the boolean mask, and the pattern they form, built
+        only when the mask differs from the previous call's."""
+        last = self._last
+        if last is None or not np.array_equal(last[0], mask):
+            last = self._last = (mask.copy(), *self._sub_pattern(mask))
+        return last[1], last[2]
+
+    def _sub_pattern(self, mask):
+        """(keep, sub) built by masking this pattern, which keeps its rows
+        and columns sorted."""
+        keep = np.flatnonzero(mask[self.rows] & mask[self.indices])
+        node = np.cumsum(mask) - 1
+        rows = node[self.rows[keep]]
+        return keep, Pattern(np.searchsorted(rows, np.arange(node[-1] + 2)), node[self.indices[keep]],
+                             rows, np.searchsorted(keep, self.diag[mask]))
+
+
+class GraphOperator(Pattern):
+    """Pattern of a weighted graph Laplacian plus a diagonal, built once per
+    mesh on vertices (log-density) or cells (mixed) and carried on the
+    state.  It holds every diagonal entry and both directions of every
     edge, sorted.  ``pair_edge`` maps the given node pairs to edges, so a
     numeric refill is a ``np.bincount``."""
 
     def __init__(self, n, pairs):
         pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         if np.any(lo == hi) or lo.min(initial=0) < 0 or hi.max(initial=-1) >= n:
             raise ValueError("graph pairs must join two distinct nodes in range")
-        self.n = n = int(n)
+        n = int(n)
         keys, self.pair_edge = np.unique(lo * n + hi, return_inverse=True)
         self.ei, self.ej = keys // n, keys % n
         self.n_edges = ne = len(keys)
         rows = np.concatenate([self.ei, self.ej, np.arange(n)])
         cols = np.concatenate([self.ej, self.ei, np.arange(n)])
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * n + cols)  # unique keys: the (row, column) order
         pos = np.empty_like(order)
         pos[order] = np.arange(order.size)
-        self.upper, self.lower, self.diag = pos[:ne], pos[ne:2 * ne], pos[2 * ne:]
-        self.rows, self.indices, self.nnz = rows[order], cols[order], order.size
-        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
+        self.upper, self.lower = pos[:ne], pos[ne:2 * ne]
+        rows = rows[order]
+        super().__init__(np.searchsorted(rows, np.arange(n + 1)), cols[order], rows, pos[2 * ne:])
 
     def laplacian(self, weights) -> "GraphMatrix":
         """sum_e w_e (e_i - e_j)(e_i - e_j)^T for one weight per edge; the
@@ -56,28 +86,27 @@ class GraphOperator:
         data = np.empty(self.nnz)
         data[self.upper] = data[self.lower] = -np.asarray(weights, dtype=float)
         data[self.diag] = np.bincount(self.ei, weights, self.n) + np.bincount(self.ej, weights, self.n)
-        return GraphMatrix(self.indptr, self.indices, self.rows, self.diag, data)
+        return GraphMatrix(self, data)
 
 
 class GraphMatrix:
-    """Matrix on a fixed symmetric pattern: CSR arrays, the row of every
-    entry and the position of every diagonal entry."""
+    """Values on a fixed symmetric :class:`Pattern`."""
 
-    def __init__(self, indptr, indices, rows, diag, data):
-        self.indptr, self.indices, self.rows, self.diag, self.data = indptr, indices, rows, diag, data
-        self.n = len(indptr) - 1
+    def __init__(self, pattern: Pattern, data):
+        self.pattern, self.data, self.n = pattern, data, pattern.n
         self._csr = None
 
     def with_data(self, data) -> "GraphMatrix":
-        return GraphMatrix(self.indptr, self.indices, self.rows, self.diag, data)
+        return GraphMatrix(self.pattern, data)
 
     def tocsr(self):
         if self._csr is None:
-            self._csr = sparse.csr_matrix((self.data, self.indices, self.indptr), shape=(self.n, self.n))
+            self._csr = sparse.csr_matrix((self.data, self.pattern.indices, self.pattern.indptr),
+                                          shape=(self.n, self.n))
         return self._csr
 
     def diagonal(self):
-        return self.data[self.diag]
+        return self.data[self.pattern.diag]
 
     def __matmul__(self, x):
         return self.tocsr() @ x
@@ -92,18 +121,14 @@ class GraphMatrix:
     def shifted(self, shift):
         """A + diag(shift)."""
         data = self.data.copy()
-        data[self.diag] += shift
+        data[self.pattern.diag] += shift
         return self.with_data(data)
 
     def restrict(self, mask):
-        """Principal submatrix on the nodes where the boolean mask holds,
-        taken by masking the pattern (rows and columns stay sorted)."""
-        mask = np.asarray(mask, dtype=bool)
-        keep = np.flatnonzero(mask[self.rows] & mask[self.indices])
-        node = np.cumsum(mask) - 1
-        rows = node[self.rows[keep]]
-        return GraphMatrix(np.searchsorted(rows, np.arange(node[-1] + 2)), node[self.indices[keep]],
-                           rows, np.searchsorted(keep, self.diag[mask]), self.data[keep])
+        """Principal submatrix on the nodes where the boolean mask holds, on
+        the pattern's cached sub-pattern for that mask."""
+        keep, sub = self.pattern.restricted(np.asarray(mask, dtype=bool))
+        return GraphMatrix(sub, self.data[keep])
 
 
 class VertexGraph(GraphOperator):
@@ -177,7 +202,6 @@ def stiffness_edge_based(graph: VertexGraph, u_prev, m, active) -> GraphMatrix:
 
 def element_stiffness(mesh: Mesh) -> np.ndarray:
     """Exact constant-coefficient element stiffness blocks, one per cell."""
-    pts = mesh.vertices[mesh.cells]
     if mesh.cell_kind == INTERVAL:
         h = mesh.cell_volumes
         blk = np.empty((mesh.n_cells, 2, 2))
@@ -186,14 +210,19 @@ def element_stiffness(mesh: Mesh) -> np.ndarray:
         return blk
     if mesh.cell_kind == TRIANGLE:
         # grad(phi_i) = perp(edge opposite i)/(2|K|); the Gram matrix of the
-        # opposite edges divided by 4|K| is the P1 stiffness
-        e = np.stack(
-            [pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]],
-            axis=1,
-        )
-        return np.einsum("cid,cjd->cij", e, e) / (4.0 * mesh.cell_volumes)[:, None, None]
+        # opposite edges divided by 4|K| is the P1 stiffness.  Its two-term
+        # dot products are written out, on one contiguous array per vertex
+        # and axis; + 0.0 turns -0 into +0, as a sum that starts from +0 does
+        x, y = (mesh.vertices[:, d][mesh.cells.T] for d in (0, 1))
+        ex, ey = ((v[2] - v[1], v[0] - v[2], v[1] - v[0]) for v in (x, y))
+        vol4 = 4.0 * mesh.cell_volumes
+        blk = np.empty((mesh.n_cells, 3, 3))
+        for i, j in zip(*np.triu_indices(3)):
+            blk[:, i, j] = blk[:, j, i] = (ex[i] * ex[j] + ey[i] * ey[j] + 0.0) / vol4
+        return blk
     # axis-aligned Q1 quad, nodes CCW from the lower-left corner: the exact
     # integrals of the x- and y-derivative products of the bilinear basis
+    pts = mesh.vertices[mesh.cells]
     hx = pts[:, 1, 0] - pts[:, 0, 0]
     hy = pts[:, 3, 1] - pts[:, 0, 1]
     dx = np.array([[2, -2, -1, 1], [-2, 2, 1, -1], [-1, 1, 2, -2], [1, -1, -2, 2]]) / 6.0
@@ -238,7 +267,7 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0=None):
             raise ValueError(f"start point must be {A.n} finite values")
     K = A.shifted(shift)
     tol = 1e-12 * np.linalg.norm(rhs)
-    if np.diff(K.indptr).max() > 3:
+    if np.diff(K.pattern.indptr).max() > 3:
         x = _jacobi_pcg(K.tocsr(), K.diagonal(), rhs, tol, x0)
         if x is not None:
             return x

@@ -91,22 +91,21 @@ def _cell_volumes(vertices, cells, kind):
 
 
 def _orient_cells(vertices, cells, kind):
-    """Return cells reordered so signed volumes are positive."""
+    """Return cells reordered so signed volumes are positive, and those volumes."""
     cells = np.array(cells, dtype=np.intp)
-    if kind == INTERVAL:
-        flip = vertices[cells[:, 1], 0] < vertices[cells[:, 0], 0]
-        cells[flip] = cells[flip][:, ::-1]
-    elif kind == TRIANGLE:
-        vol = _cell_volumes(vertices, cells, kind)
-        flip = vol < 0
-        cells[flip] = cells[flip][:, [0, 2, 1]]
-    else:  # axis-aligned quad: CCW from the lower-left corner
+    if kind == QUAD:  # axis-aligned: CCW from the lower-left corner
         by_y_then_x = np.lexsort((vertices[cells, 0], vertices[cells, 1]))
         cells = np.take_along_axis(cells, by_y_then_x[:, [0, 1, 3, 2]], axis=1)
         (x0, y0), (x1, y1), (x2, y2), (x3, y3) = np.moveaxis(vertices[cells], 0, -1)
         if not np.all((y0 == y1) & (y2 == y3) & (x0 == x3) & (x1 == x2) & (x0 < x1) & (y0 < y3)):
             raise MeshError("quad cell is not an axis-aligned rectangle")
-    return cells
+        return cells, _cell_volumes(vertices, cells, kind)
+    # swapping two vertices negates the signed volume exactly
+    volumes = _cell_volumes(vertices, cells, kind)
+    flip = volumes < 0
+    cells[flip] = cells[flip][:, [1, 0] if kind == INTERVAL else [0, 2, 1]]
+    volumes[flip] = -volumes[flip]
+    return cells, volumes
 
 
 #: vertices per cell of each cell kind
@@ -136,8 +135,7 @@ def make_mesh(vertices, cells, kind) -> Mesh:
     if cells.min(initial=0) < 0 or cells.max(initial=-1) >= len(vertices):
         raise MeshError("cell vertex index out of range")
 
-    cells = _orient_cells(vertices, cells, kind)
-    volumes = _cell_volumes(vertices, cells, kind)
+    cells, volumes = _orient_cells(vertices, cells, kind)
     if np.any(volumes <= 0):
         raise MeshError("degenerate cell with non-positive volume")
 
@@ -146,8 +144,8 @@ def make_mesh(vertices, cells, kind) -> Mesh:
     local = np.array(_LOCAL_FACES[kind])
     nloc = len(local)
     tokens = cells[:, local].reshape(-1, local.shape[1])
-    ends = np.sort(tokens, axis=1)
-    keys = ends[:, 0] * len(vertices) + ends[:, -1]
+    lo, hi = np.minimum(tokens[:, 0], tokens[:, -1]), np.maximum(tokens[:, 0], tokens[:, -1])
+    keys = lo * len(vertices) + hi
     _, first, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
                                           return_counts=True)
     if np.any(counts > 2):

@@ -1,5 +1,8 @@
 """Lumped mass, harmonic averages, the two stiffness variants, SPD solves."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +11,7 @@ from pmefem import assembly
 from pmefem.assembly import (
     GraphMatrix,
     GraphOperator,
+    Pattern,
     SolverError,
     VertexGraph,
     harmonic_edge_average,
@@ -15,10 +19,11 @@ from pmefem.assembly import (
     spd_solve,
     stiffness_edge_based,
     stiffness_vertex_quadrature,
-
 )
+from pmefem.logdensity import init_log_state, step_logdensity
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import init_mixed_state
+from pmefem.problems import get_problem
 
 
 def all_active(mesh):
@@ -137,6 +142,19 @@ class TestStiffness:
         m = MESHES["quad"]()
         with pytest.raises(ValueError):
             stiffness_edge_based(VertexGraph(m), np.zeros(m.n_vertices), 2.0, all_active(m))
+
+    @pytest.mark.parametrize("mesh", [
+        make_mesh([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-9)], [(0, 1, 2)], "triangle"),  # sliver
+        build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16)),
+        build_structured_mesh("triangle", ((0, 2), (-1, 1)), (5, 4)),
+    ], ids=["sliver", "acute", "triangle"])
+    def test_triangle_blocks_match_einsum_bitwise(self, mesh):
+        # the Gram matrix of the opposite edges by the generic einsum; bytes
+        # are compared, so a -0 in place of +0 (right angles) counts as a change
+        pts = mesh.vertices[mesh.cells]
+        e = np.stack([pts[:, 2] - pts[:, 1], pts[:, 0] - pts[:, 2], pts[:, 1] - pts[:, 0]], axis=1)
+        reference = np.einsum("cid,cjd->cij", e, e) / (4.0 * mesh.cell_volumes)[:, None, None]
+        assert assembly.element_stiffness(mesh).tobytes() == reference.tobytes()
 
     def test_1d_single_element_values(self):
         m = build_structured_mesh("interval", (0, 1), 1)
@@ -318,7 +336,7 @@ def graph_matrix(n, pairs, off, diag):
     data = np.zeros(op.nnz)
     data[op.upper] = data[op.lower] = np.bincount(op.pair_edge, off, op.n_edges)
     data[op.diag] = diag
-    return GraphMatrix(op.indptr, op.indices, op.rows, op.diag, data)
+    return GraphMatrix(op, data)
 
 
 def no_lu(*args):
@@ -482,3 +500,100 @@ class TestGraphOperator:
         assert np.array_equal(op.indices[upper], hi)
         assert np.array_equal(op.rows[lower], hi)
         assert np.array_equal(op.indices[lower], lo)
+
+    @pytest.mark.parametrize("name", sorted(MESHES))
+    def test_pattern_matches_lexsort_reference(self, name):
+        # vertex graph and cell graph: edges from min/max of each pair, the
+        # (row, column) order of np.lexsort
+        m = MESHES[name]()
+        iu, ju = np.triu_indices(m.cells.shape[1], 1)
+        for n, pairs in ((m.n_vertices, np.stack([m.cells[:, iu], m.cells[:, ju]], axis=-1).reshape(-1, 2)),
+                         (m.n_cells, m.face_cells[m.interior_faces])):
+            op = GraphOperator(n, pairs)
+            keys, pair_edge = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1), return_inverse=True)
+            ei, ej = keys // n, keys % n
+            rows = np.concatenate([ei, ej, np.arange(n)])
+            cols = np.concatenate([ej, ei, np.arange(n)])
+            order = np.lexsort((cols, rows))
+            pos = np.empty_like(order)
+            pos[order] = np.arange(order.size)
+            ne = len(keys)
+            expected = (ei, ej, pair_edge, pos[:ne], pos[ne:2 * ne], pos[2 * ne:], rows[order], cols[order],
+                        np.searchsorted(rows[order], np.arange(n + 1)))
+            got = (op.ei, op.ej, op.pair_edge, op.upper, op.lower, op.diag, op.rows, op.indices, op.indptr)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def fresh_masking(A, mask):
+    """A restricted to the mask by a sub-pattern built now, past the cache."""
+    keep, sub = A.pattern._sub_pattern(mask)
+    return GraphMatrix(sub, A.data[keep])
+
+
+def assert_same(sub, ref):
+    for a, b in ((sub.pattern.indptr, ref.pattern.indptr), (sub.pattern.indices, ref.pattern.indices),
+                 (sub.pattern.rows, ref.pattern.rows), (sub.pattern.diag, ref.pattern.diag), (sub.data, ref.data)):
+        assert a.tobytes() == b.tobytes()
+
+
+class TestRestrictCache:
+    """The pattern keeps the sub-pattern of the last mask; every restricted
+    matrix equals a fresh masking bitwise."""
+
+    def test_hit_equals_a_fresh_masking(self):
+        m, A, rng = stiffness_2d()
+        mask = rng.uniform(size=m.n_vertices) < 0.6
+        first = A.restrict(mask)
+        B = A.with_data(rng.normal(size=A.data.size))  # new values on the same pattern
+        hit = B.restrict(mask.copy())
+        assert hit.pattern is first.pattern
+        assert_same(hit, fresh_masking(B, mask))
+
+    def test_caller_mutating_its_mask_afterwards(self):
+        m, A, rng = stiffness_2d()
+        mask = rng.uniform(size=m.n_vertices) < 0.6
+        A.restrict(mask)
+        mask[np.flatnonzero(mask)[::4]] = False  # in place, after the call
+        assert_same(A.restrict(mask), fresh_masking(A, mask))
+
+    def test_alternating_masks(self):
+        m, A, rng = stiffness_2d()
+        a = rng.uniform(size=m.n_vertices) < 0.6
+        b = rng.permutation(a)  # as many nodes as a
+        for mask in (a, b, a, a, b, b):
+            assert_same(A.restrict(mask), fresh_masking(A, mask))
+
+    def test_two_meshes_in_two_threads(self):
+        # same node count, different patterns, the same masks in lockstep
+        meshes = [build_structured_mesh(kind, ((0, 1), (0, 1)), (8, 8)) for kind in ("triangle", "quad")]
+        rng = np.random.default_rng(6)
+        masks = [rng.uniform(size=81) < p for p in (0.5, 0.5, 0.7, 0.7, 0.9)]
+        barrier = threading.Barrier(2, timeout=60)
+
+        def run(mesh):
+            A = stiffness_vertex_quadrature(VertexGraph(mesh), np.zeros(81), 2.0, all_active(mesh))
+            full, same = A.tocsr().toarray(), []
+            try:
+                for mask in masks:
+                    barrier.wait()
+                    same.append(np.array_equal(A.restrict(mask).tocsr().toarray(), full[mask][:, mask]))
+            except BaseException:
+                barrier.abort()  # release the other thread's wait
+                raise
+            return same
+
+        with ThreadPoolExecutor(2) as pool:
+            assert [all(same) for same in pool.map(run, meshes)] == [True, True]
+
+    def test_builds_only_when_the_mask_changes(self, monkeypatch):
+        masks, builds = [], []
+        restricted, sub_pattern = Pattern.restricted, Pattern._sub_pattern
+        monkeypatch.setattr(Pattern, "restricted", lambda self, mask: masks.append(mask.copy()) or restricted(self, mask))
+        monkeypatch.setattr(Pattern, "_sub_pattern", lambda self, mask: builds.append(1) or sub_pattern(self, mask))
+        mesh = build_structured_mesh("acute_triangle", ((-2, 2), (-2, 2)), (16, 16))
+        st = init_log_state(mesh, get_problem("horseshoe", 3.0).rho0, 3.0)
+        for _ in range(10):
+            st = step_logdensity(st, 1e-3, "vertex")
+        changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
+        assert len(builds) == changes < len(masks)
