@@ -96,9 +96,6 @@ class GraphMatrix:
         self.pattern, self.data, self.n = pattern, data, pattern.n
         self._csr = None
 
-    def with_data(self, data) -> "GraphMatrix":
-        return GraphMatrix(self.pattern, data)
-
     def tocsr(self):
         if self._csr is None:
             self._csr = sparse.csr_matrix((self.data, self.pattern.indices, self.pattern.indptr),
@@ -111,18 +108,14 @@ class GraphMatrix:
     def __matmul__(self, x):
         return self.tocsr() @ x
 
-    def quad_form(self, x):
-        """x . A x"""
-        return float(x @ (self @ x))
-
     def scaled(self, factor):
-        return self.with_data(self.data * factor)
+        return GraphMatrix(self.pattern, self.data * factor)
 
     def shifted(self, shift):
         """A + diag(shift)."""
         data = self.data.copy()
         data[self.pattern.diag] += shift
-        return self.with_data(data)
+        return GraphMatrix(self.pattern, data)
 
     def restrict(self, mask):
         """Principal submatrix on the nodes where the boolean mask holds, on

@@ -122,10 +122,12 @@ _REQUIRED = ("scheme", "problem", "m", "dt", "T")
 
 
 def parse_config(path, overrides: Optional[dict] = None) -> RunConfig:
-    """Read a line-oriented `key = value` file (``#`` comments) and return a
-    fully validated configuration with defaults applied.  ``overrides`` maps
-    key strings to value strings and wins over file entries."""
+    """Read a line-oriented `key = value` file (``#`` comments, each key at
+    most once) and return a fully validated configuration with defaults
+    applied.  ``overrides`` maps key strings to value strings and wins over
+    file entries."""
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -134,7 +136,9 @@ def parse_config(path, overrides: Optional[dict] = None) -> RunConfig:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (s.strip() for s in line.split("=", 1))
-            raw[key] = value
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} already given on line {seen[key]}")
+            raw[key], seen[key] = value, lineno
     raw.update(overrides or {})
     return config_from_strings(raw)
 
@@ -212,7 +216,14 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"mesh kind {cfg.mesh_kind!r} has dimension {kind_dim}, "
                           f"problem {cfg.problem!r} needs {problem.dim}")
     if len(cfg.counts) != problem.dim:
-        raise ConfigError(f"need {problem.dim} cell counts, got {cfg.counts}")
+        raise ConfigError(f"n needs {problem.dim} cell counts, got {cfg.counts}")
+    if min(cfg.counts) < 1:
+        raise ConfigError(f"n needs cell counts >= 1, got {cfg.counts}")
+    box = np.reshape(cfg.domain, (-1, 2))
+    if len(box) != problem.dim:
+        raise ConfigError(f"domain {cfg.domain} has {len(box)} axes, problem {cfg.problem!r} needs {problem.dim}")
+    if np.any(box[:, 1] <= box[:, 0]):
+        raise ConfigError(f"domain {cfg.domain} needs lo < hi on every axis")
     if cfg.scheme == "mixed" and cfg.mesh_kind == TRIANGLE:
         raise ConfigError("the mixed scheme needs strictly Delaunay faces: use mesh = "
                           "acute_triangle (the 'triangle' split has right angles)")
@@ -289,8 +300,8 @@ def l2_error(state, exact, region) -> float:
     return float(np.sqrt(np.sum(mesh.cell_volumes[mask, None] * w * (vals - ex) ** 2)))
 
 
-def convergence_order(errors, ratio: float = 2.0):
-    """Per-level orders log(e_{l-1}/e_l)/log(ratio); None for the first level
+def convergence_order(errors):
+    """Per-level orders log(e_{l-1}/e_l)/log(2); None for the first level
     and for levels following an exactly zero error."""
     errors = list(errors)
     if len(errors) < 1:
@@ -300,7 +311,7 @@ def convergence_order(errors, ratio: float = 2.0):
         if prev <= 0 or cur <= 0:
             orders.append(None)
         else:
-            orders.append(math.log(prev / cur) / math.log(ratio))
+            orders.append(math.log(prev / cur) / math.log(2.0))
     return orders
 
 
@@ -332,24 +343,19 @@ def _record(cfg, state, step, tracked, cfl_bound=None):
     """One time-series record; a mixed state takes the CFL bound its step
     computed."""
     if cfg.scheme == "logdensity":
-        lo, hi = ld.bounds(state) if state.active.any() else (0.0, 0.0)
-        return TimeSeriesRecord(
-            step=step,
-            time=state.time,
-            mass=state.total_mass(),
-            energy=ld.entropy_energy(state),
-            min_density=lo,
-            max_density=hi,
-            tracked_density=None if tracked is None else float(state.density()[tracked]),
-        )
+        energy, (lo, hi) = ld.entropy_energy(state), ld.bounds(state)
+        density = state.density
+    else:
+        energy, lo, hi = mx.physical_energy(state), float(state.rho.min()), float(state.rho.max())
+        density = lambda: state.rho
     return TimeSeriesRecord(
         step=step,
         time=state.time,
         mass=state.total_mass(),
-        energy=mx.physical_energy(state),
-        min_density=float(state.rho.min()),
-        max_density=float(state.rho.max()),
-        tracked_density=None if tracked is None else float(state.rho[tracked]),
+        energy=energy,
+        min_density=lo,
+        max_density=hi,
+        tracked_density=None if tracked is None else float(density()[tracked]),
         cfl_bound=cfl_bound,
     )
 

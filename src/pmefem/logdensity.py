@@ -114,7 +114,7 @@ class StepSystem:
         """Convex step functional whose stationary point is the step solution."""
         dens = np.where(active, np.exp(u), 0.0)
         uz = np.where(active, u, 0.0)
-        return float(self.M @ dens - uz @ self.b + 0.5 * self.dt * self.A.quad_form(uz))
+        return float(self.M @ dens - uz @ self.b + 0.5 * self.dt * (uz @ (self.A @ uz)))
 
 
 def row_solution(M, a, c):
@@ -219,8 +219,8 @@ def entropy_energy(state: LogDensityState) -> float:
 
 
 def bounds(state: LogDensityState):
-    """(min, max) of the density over active vertices."""
+    """(min, max) of the density over active vertices; (0, 0) if none is."""
     if not state.active.any():
-        raise ValueError("bounds undefined: no active degrees of freedom")
+        return 0.0, 0.0
     dens = np.exp(state.u[state.active])
     return float(dens.min()), float(dens.max())

@@ -355,7 +355,8 @@ def _read_block(f, rows, cols, dtype, what):
 
 
 def read_mesh(path) -> Mesh:
-    """Read the format of :func:`write_mesh`; a malformed file raises MeshError."""
+    """Read the format of :func:`write_mesh`; a malformed file, or one with
+    rows beyond the header's counts, raises MeshError."""
     with open(path, encoding="utf-8") as f:
         tokens = f.readline().split()
         try:
@@ -371,4 +372,7 @@ def read_mesh(path) -> Mesh:
             raise MeshError(f"dimension {dim} inconsistent with kind {kind!r}")
         verts = _read_block(f, nverts, dim, float, "vertex")
         cells = _read_block(f, ncells, _CELL_SIZE[kind], np.intp, "cell")
+        extra = sum(1 for line in f if line.split("#", 1)[0].strip())
+    if extra:
+        raise MeshError(f"{extra} extra row(s) after the header's {nverts} vertices and {ncells} cells")
     return make_mesh(verts, cells, kind)

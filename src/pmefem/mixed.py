@@ -154,7 +154,6 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
             delta = 0.5 * delta  # halved while the upwind values oscillate, always after max_iter
         rho = rho + delta
         rhat_last, res_last = rhat, res
-    raise SolverError("unreachable")
 
 
 def cfl_max_dt(state: MixedState):
@@ -171,9 +170,9 @@ def cfl_max_dt(state: MixedState):
     return per_cell, float(per_cell.min())
 
 
-def physical_energy(state: MixedState, m: float | None = None) -> float:
+def physical_energy(state: MixedState) -> float:
     """Integral of rho^m/(m-1) over the mesh."""
-    m = state.m if m is None else m
+    m = state.m
     if m <= 1:
         raise ValueError("physical energy requires m > 1")
     return float(state.mesh.cell_volumes @ (np.maximum(state.rho, 0.0) ** m)) / (m - 1.0)

@@ -104,10 +104,8 @@ def complex_support(x, y, m):
 class ProblemSpec:
     """One catalog entry: initial data plus whatever oracles exist for it."""
 
-    name: str
     dim: int
     domain: tuple
-    m: float
     rho0: Callable[[np.ndarray], np.ndarray]         # (n, dim) points -> densities
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     front: Optional[Callable[[float], float]] = None  # right interface position
@@ -130,7 +128,7 @@ def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
     if name == "barenblatt1d":
         s0 = 3.0 if s0 is None else float(s0)
         return ProblemSpec(
-            name=name, dim=1, domain=(-10.0, 10.0), m=m,
+            dim=1, domain=(-10.0, 10.0),
             rho0=lambda pts: barenblatt(pts[:, 0], 0.0, m, s0, 1),
             exact=lambda pts, t: barenblatt(pts[:, 0], t, m, s0, 1),
             inner_region=(-5.0, 5.0),
@@ -139,7 +137,7 @@ def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
     if name == "barenblatt2d":
         s0 = 1.0 if s0 is None else float(s0)
         return ProblemSpec(
-            name=name, dim=2, domain=((-6.0, 6.0), (-6.0, 6.0)), m=m,
+            dim=2, domain=((-6.0, 6.0), (-6.0, 6.0)),
             rho0=lambda pts: barenblatt(pts, 0.0, m, s0, 2),
             exact=lambda pts, t: barenblatt(pts, t, m, s0, 2),
             inner_region=((-3.0, 3.0), (-3.0, 3.0)),
@@ -149,7 +147,7 @@ def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
         # domain chosen so +-pi/2 are grid vertices for counts divisible by 4
         wt = waiting_time(m, theta) if theta <= 0.25 else None
         return ProblemSpec(
-            name=name, dim=1, domain=(-math.pi, math.pi), m=m,
+            dim=1, domain=(-math.pi, math.pi),
             rho0=lambda pts: waiting_time_profile(pts[:, 0], m, theta),
             front=lambda t: math.pi / 2,
             waiting=wt,
@@ -157,13 +155,13 @@ def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
         )
     if name == "gaussians":
         return ProblemSpec(
-            name=name, dim=2, domain=((-1.0, 1.0), (-1.0, 1.0)), m=m,
+            dim=2, domain=((-1.0, 1.0), (-1.0, 1.0)),
             rho0=lambda pts: merging_gaussians(pts[:, 0], pts[:, 1]),
             default_mesh="acute_triangle", default_counts=(40, 40),
         )
     if name == "horseshoe":
         return ProblemSpec(
-            name=name, dim=2, domain=((-2.0, 2.0), (-2.0, 2.0)), m=m,
+            dim=2, domain=((-2.0, 2.0), (-2.0, 2.0)),
             rho0=lambda pts: complex_support(pts[:, 0], pts[:, 1], m),
             default_mesh="acute_triangle", default_counts=(40, 40),
         )

@@ -59,6 +59,12 @@ T = 1
 """
 
 
+def minimal(**keys):
+    """MINIMAL with the given keys set; a config file names each key once."""
+    lines = [l for l in MINIMAL.splitlines() if l.partition("=")[0].strip() not in keys]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+
+
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
@@ -118,7 +124,7 @@ class TestParseConfig:
     def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, scheme, iterations):
         # log-density: newton_maxiter iterations and a polishing one;
         # mixed: newton_maxiter full and newton_maxiter halved iterations
-        text = MINIMAL.replace("logdensity", scheme) + "m = 3\ndt = 0.1\nT = 0.1\nn = 30\nnewton_maxiter = 2\n"
+        text = minimal(scheme=scheme, m=3, dt=0.1, T=0.1, n=30, newton_maxiter=2)
         assert cli.main(["simulate", str(write_cfg(tmp_path, text))]) == 2
         assert f"Newton did not converge in {iterations} iterations" in capsys.readouterr().err
 
@@ -162,6 +168,53 @@ class TestParseConfig:
         assert cli.main(["simulate", str(cfg), "-o", f"{key}={text}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite") and err.count("\n") == 1
+
+    def test_duplicate_key(self, tmp_path):
+        path = write_cfg(tmp_path, MINIMAL + "n = 20\nm = 3\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}:9: key 'm' already given on line 5"
+        # an override replaces the file's single value
+        assert parse_config(write_cfg(tmp_path, MINIMAL), {"m": "3"}).m == 3.0
+
+    @pytest.mark.parametrize("problem,line,message", [
+        ("barenblatt1d", "n = 0", "n needs cell counts >= 1"),
+        ("barenblatt1d", "n = -4", "n needs cell counts >= 1"),
+        ("barenblatt2d", "n = 8x0", "n needs cell counts >= 1"),
+        ("barenblatt1d", "domain = 1 1", "domain (1.0, 1.0) needs lo < hi"),
+        ("barenblatt1d", "domain = 2 -2", "domain (2.0, -2.0) needs lo < hi"),
+        ("barenblatt2d", "domain = -1 1 1 -1", "domain ((-1.0, 1.0), (1.0, -1.0)) needs lo < hi"),
+        ("barenblatt1d", "domain = -1 1 -1 1", "has 2 axes, problem 'barenblatt1d' needs 1"),
+        ("barenblatt2d", "domain = -1 1", "has 1 axes, problem 'barenblatt2d' needs 2"),
+    ])
+    def test_counts_and_domain_checked_at_read(self, tmp_path, capsys, problem, line, message):
+        key, _, value = line.partition(" = ")
+        cfg = write_cfg(tmp_path, minimal(problem=problem, **{key: value}))
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            parse_config(cfg)
+        assert cli.main(["simulate", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("m = abc", "bad value for 'm': 'abc'"),
+        ("n = 3.5", "bad value for 'n': '3.5'"),
+        ("cfl_autohalve = maybe", "bad value for 'cfl_autohalve'"),
+        ("n 40", "run.cfg:8: expected 'key = value'"),
+        ("domain = 0 1 2", "bad value for 'domain': '0 1 2'"),
+        ("scheme = warp", "unknown scheme 'warp'"),
+        ("problem = tsunami", "unknown problem 'tsunami'"),
+        ("dt = 0", "dt must be positive"),
+        ("dt = -0.1", "dt must be positive"),
+        ("variant = face", "unknown stiffness variant 'face'"),
+        ("n = 10x10", "n needs 1 cell counts, got (10, 10)"),
+    ])
+    def test_bad_input_rejected(self, tmp_path, line, message):
+        key, sep, value = line.partition(" = ")
+        text = minimal(**{key: value}) if sep else MINIMAL + line + "\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(write_cfg(tmp_path, text))
+        assert message in str(err.value)
 
     def test_missing_required(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -695,7 +748,7 @@ class TestRunConvergence:
 
 class TestCli:
     def test_simulate_and_outputs(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, MINIMAL + f"output = {tmp_path}/run\nn = 40\nT = 0.4\n")
+        cfg = write_cfg(tmp_path, minimal(output=f"{tmp_path}/run", n=40, T=0.4))
         assert cli.main(["simulate", str(cfg)]) == 0
         out = capsys.readouterr().out
         assert "mass=" in out
@@ -708,12 +761,27 @@ class TestCli:
         assert "steps=1" in capsys.readouterr().out
 
     def test_converge(self, tmp_path, capsys):
-        text = MINIMAL.replace("scheme = logdensity", "scheme = mixed")
-        cfg = write_cfg(tmp_path, text + "dt = 0.1\nn = 50\nT = 0.5\n")
+        cfg = write_cfg(tmp_path, minimal(scheme="mixed", dt=0.1, n=50, T=0.5))
         assert cli.main(["converge", str(cfg), "-o", "levels=2"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("level,N,dt")
         assert len(out) == 3
+
+    def test_converge_writes_the_returned_rows(self, tmp_path, capsys, monkeypatch):
+        rows = []
+        study = harness.run_convergence
+        monkeypatch.setattr(harness, "run_convergence", lambda cfg: rows.extend(study(cfg)) or rows)
+        cfg = write_cfg(tmp_path, minimal(scheme="mixed", dt=0.1, n=50, T=0.5, levels=2, output=f"{tmp_path}/study"))
+        assert cli.main(["converge", str(cfg)]) == 0
+        assert capsys.readouterr().out.endswith(f"wrote {tmp_path}/study_convergence.csv\n")
+        assert len(rows) == 2
+        write_convergence_csv(rows, tmp_path / "reference.csv")
+        assert (tmp_path / "study_convergence.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_override_without_equals_sign(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, MINIMAL)
+        assert cli.main(["simulate", str(cfg), "-o", "levels"]) == 2
+        assert capsys.readouterr().err == "error: override 'levels' must look like key=value\n"
 
     def test_mesh_info(self, tmp_path, capsys):
         mesh = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (3, 3))
@@ -746,7 +814,7 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_solver_failure_is_reported(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, MINIMAL + "dt = 1e8\nT = 2e8\nnewton_maxiter = 2\n")
+        cfg = write_cfg(tmp_path, minimal(dt="1e8", T="2e8", newton_maxiter=2))
         assert cli.main(["simulate", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: step 1")
@@ -761,6 +829,7 @@ class TestCli:
         ("2 1 3 triangle\n0 0\n1 0\n0 1\n0 1\n", "cell block must be 1 rows of 3 numbers"),
         ("1 1 2 interval\n0\nx\n0 1\n", "bad vertex block"),
         ("1 1 2 interval\n0\n1\n0 1.5\n", "bad cell block"),
+        ("1 1 2 interval\n0\n1\n0 1\n1 0\n", "1 extra row(s) after the header's 2 vertices and 1 cells"),
     ])
     def test_malformed_mesh_file_is_reported(self, tmp_path, capsys, text, message):
         path = tmp_path / "m.txt"

@@ -296,3 +296,17 @@ class TestMeshIO:
         path.write_text("2 1 3\n")
         with pytest.raises(MeshError):
             read_mesh(path)
+
+    @pytest.mark.parametrize("tail,extra", [
+        ("", 0), ("\n  \n\n", 0), ("# end\n", 0),
+        ("2 3\n", 1), ("2 3\n\n3 0\n", 2), ("0\n", 1),
+    ])
+    def test_rows_beyond_the_header_counts(self, tmp_path, tail, extra):
+        # header: 4 vertices and 3 cells; blank and comment lines after them are no rows
+        path = tmp_path / "m.txt"
+        path.write_text("1 3 4 interval\n0\n1\n2\n3\n0 1\n1 2\n2 3\n" + tail, encoding="utf-8")
+        if extra:
+            with pytest.raises(MeshError, match=f"^{extra} extra row"):
+                read_mesh(path)
+        else:
+            assert read_mesh(path).n_cells == 3
