@@ -238,26 +238,24 @@ def stiffness_vertex_quadrature(graph: VertexGraph, u_prev, m, active) -> GraphM
 PCG_MAXITER = 500
 
 
-def spd_solve(A: GraphMatrix, shift, rhs, x0=None):
+def spd_solve(A: GraphMatrix, shift, rhs, x0):
     """Solve (diag(shift) + A) x = rhs with the contract
     ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
-    (2D meshes) try Jacobi-PCG from the start point x0 (0 when it is
-    omitted), accepted only on its true residual; path graphs (1D) and
-    systems PCG misses go to sparse LU with one step of iterative
-    refinement, which ignores x0.  The start point changes the iterations,
-    not the contract.  Raises ValueError on a negative shift or an x0 that
-    is not a finite vector of the system's size, SolverError on singular
-    systems."""
+    (2D meshes) try Jacobi-PCG from the start point x0, accepted only on
+    its true residual; path graphs (1D) and systems PCG misses go to sparse
+    LU with one step of iterative refinement, which ignores x0.  The start
+    point changes the iterations, not the contract.  Raises ValueError on a
+    negative shift or an x0 that is not a finite vector of the system's
+    size, SolverError on singular systems."""
     shift = np.asarray(shift, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if A.n == 0:
         raise SolverError("empty system")
     if np.any(shift < 0):
         raise ValueError("shift entries must be nonnegative")
-    if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (A.n,) or not np.all(np.isfinite(x0)):
-            raise ValueError(f"start point must be {A.n} finite values")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (A.n,) or not np.all(np.isfinite(x0)):
+        raise ValueError(f"start point must be {A.n} finite values")
     K = A.shifted(shift)
     tol = 1e-12 * np.linalg.norm(rhs)
     if np.diff(K.pattern.indptr).max() > 3:
@@ -282,18 +280,14 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0=None):
 
 
 def _jacobi_pcg(K, d, b, tol, x0):
-    """Jacobi-preconditioned CG from x = x0, or from x = 0 when x0 is None.
-    Returns x when its true residual is at most tol, or None when K is not
-    positive definite along a search direction or PCG_MAXITER iterations do
-    not get there."""
+    """Jacobi-preconditioned CG from x = x0.  Returns x when its true
+    residual is at most tol, or None when K is not positive definite along a
+    search direction or PCG_MAXITER iterations do not get there."""
     if not np.all(d > 0):
         return None
     inv = 1.0 / d
-    if x0 is None:
-        x, r = np.zeros_like(b), b.copy()
-    else:
-        x = x0.copy()
-        r = b - K @ x
+    x = x0.copy()
+    r = b - K @ x
     z = inv * r
     p = z.copy()
     rz = r @ z

@@ -36,7 +36,7 @@ class ConfigError(ValueError):
     """Bad run configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     scheme: str
     problem: str
@@ -165,20 +165,13 @@ def config_from_strings(raw: dict) -> RunConfig:
     if "theta" in values and values["problem"] != "waiting":
         raise ConfigError("'theta' applies to the waiting problem only")
 
-    cfg = RunConfig(
-        scheme=values.pop("scheme"),
-        problem=values.pop("problem"),
-        m=values.pop("m"),
-        dt=values.pop("dt"),
-        T=values.pop("T"),
-    )
     rename = {"mesh": "mesh_kind", "n": "counts"}
-    for key, val in values.items():
-        setattr(cfg, rename.get(key, key), val)
-    return validate_config(cfg)
+    return validate_config(RunConfig(**{rename.get(key, key): val for key, val in values.items()}))
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
+    """Check ``cfg`` and return a copy with the problem's defaults filled in
+    for the mesh kind, counts and domain it leaves empty."""
     if cfg.scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}; choose from {SCHEMES}")
     if cfg.problem not in PROBLEM_NAMES:
@@ -205,12 +198,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"output directory {out_dir!r} does not exist")
 
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
-    if not cfg.mesh_kind:
-        cfg.mesh_kind = problem.default_mesh
-    if not cfg.counts:
-        cfg.counts = problem.default_counts
-    if not cfg.domain:
-        cfg.domain = problem.domain
+    cfg = replace(cfg, mesh_kind=cfg.mesh_kind or problem.default_mesh,
+                  counts=cfg.counts or problem.default_counts, domain=cfg.domain or problem.domain)
     kind_dim = 1 if cfg.mesh_kind == INTERVAL else 2
     if kind_dim != problem.dim:
         raise ConfigError(f"mesh kind {cfg.mesh_kind!r} has dimension {kind_dim}, "
@@ -321,9 +310,9 @@ def convergence_order(errors):
 def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
     """Vertex (log-density) or cell (mixed) used to monitor the interface in
     waiting-time runs; ties between two cells break toward the outside."""
-    if problem.waiting is None:
+    x0 = problem.interface
+    if x0 is None:
         return None
-    x0 = problem.front(0.0)
     if scheme == "logdensity":
         return int(np.argmin(np.abs(mesh.vertices[:, 0] - x0)))
     bary = mesh.cell_barycenters()[:, 0]
@@ -424,12 +413,12 @@ def run_convergence(cfg: RunConfig):
     """Refinement study over ``cfg.levels`` levels: counts double per level;
     dt shrinks by 4 per level for the log-density scheme and by 2 for the
     mixed scheme.  Errors are measured at the final time in the problem's
-    inner region and over the full domain."""
+    inner region and over the run's domain."""
     cfg = validate_config(cfg)
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution for error studies")
-    inner = problem.inner_region or problem.domain
+    inner = problem.inner_region or cfg.domain
     for level in range(cfg.levels):  # l2_error's region rule, before any level runs
         lcfg = _level_config(cfg, level)
         mesh = build_structured_mesh(lcfg.mesh_kind, lcfg.domain, lcfg.counts)
@@ -441,7 +430,7 @@ def run_convergence(cfg: RunConfig):
         lcfg = _level_config(cfg, level)
         state, _ = run_simulation(lcfg)
         exact = lambda pts: problem.exact(pts, cfg.T)
-        return l2_error(state, exact, inner), l2_error(state, exact, problem.domain), lcfg
+        return l2_error(state, exact, inner), l2_error(state, exact, lcfg.domain), lcfg
 
     with ThreadPoolExecutor(max_workers=min(4, cfg.levels)) as pool:
         results = list(pool.map(one_level, range(cfg.levels)))

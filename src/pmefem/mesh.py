@@ -177,26 +177,21 @@ def make_mesh(vertices, cells, kind) -> Mesh:
 
 def _normalize_box(box, dim):
     b = np.asarray(box, dtype=float)
-    if dim == 1:
-        b = b.reshape(-1)
-        if b.shape != (2,):
-            raise MeshError("1D box must be (x0, x1)")
-        b = b[None, :]
-    else:
-        b = b.reshape(2, 2)
+    if b.size != 2 * dim:
+        raise MeshError(f"{dim}D box needs {2 * dim} bounds, got {b.size}")
+    b = b.reshape(dim, 2)
     if np.any(b[:, 1] <= b[:, 0]):
         raise MeshError("degenerate box")
     return b
 
 
 def _normalize_counts(counts, dim):
-    if np.isscalar(counts):
-        counts = (int(counts),) * dim
-    counts = tuple(int(c) for c in np.atleast_1d(counts))
-    if len(counts) != dim:
-        raise MeshError(f"need {dim} cell counts, got {counts}")
-    if any(c < 1 for c in counts):
-        raise MeshError("cell counts must be >= 1")
+    raw = tuple((np.atleast_1d(counts) if np.ndim(counts) else np.full(dim, counts)).tolist())
+    if len(raw) != dim:
+        raise MeshError(f"need {dim} cell counts, got {raw}")
+    counts = tuple(int(c) for c in raw)
+    if counts != raw or min(counts) < 1:
+        raise MeshError(f"cell counts must be integers >= 1, got {raw}")
     return counts
 
 

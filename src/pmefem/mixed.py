@@ -106,7 +106,8 @@ def _newton_update(lap, dmu, vol, r):
     coupled = dmu * lap.diagonal() > 2.0**-52 * vol
     y = np.zeros(len(vol))
     if coupled.any():
-        y[coupled] = spsolve(lap.restrict(coupled), vol[coupled] / dmu[coupled], -r[coupled])
+        y[coupled] = spsolve(lap.restrict(coupled), vol[coupled] / dmu[coupled], -r[coupled],
+                             np.zeros(coupled.sum()))
     delta = (-r - lap @ y) / vol
     delta[coupled] = y[coupled] / dmu[coupled]
     return delta, coupled

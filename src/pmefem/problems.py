@@ -108,8 +108,7 @@ class ProblemSpec:
     domain: tuple
     rho0: Callable[[np.ndarray], np.ndarray]         # (n, dim) points -> densities
     exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    front: Optional[Callable[[float], float]] = None  # right interface position
-    waiting: Optional[float] = None
+    interface: Optional[float] = None                 # right interface tracked at t = 0
     inner_region: Optional[tuple] = None              # smooth subregion for errors
     default_mesh: str = "interval"
     default_counts: tuple = (100,)
@@ -145,12 +144,10 @@ def get_problem(name, m, s0=None, theta=0.0) -> ProblemSpec:
         )
     if name == "waiting":
         # domain chosen so +-pi/2 are grid vertices for counts divisible by 4
-        wt = waiting_time(m, theta) if theta <= 0.25 else None
         return ProblemSpec(
             dim=1, domain=(-math.pi, math.pi),
             rho0=lambda pts: waiting_time_profile(pts[:, 0], m, theta),
-            front=lambda t: math.pi / 2,
-            waiting=wt,
+            interface=math.pi / 2,
             default_mesh="interval", default_counts=(200,),
         )
     if name == "gaussians":

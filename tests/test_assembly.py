@@ -350,26 +350,48 @@ def stiffness_2d(seed=5, counts=(8, 8)):
                                           all_active(m)), rng
 
 
+def cold_start_pcg(K, d, b, tol):
+    """Jacobi-PCG from x = 0 with the residual b itself: the solver's
+    iteration without a start point, kept as the reference."""
+    inv = 1.0 / d
+    x, r = np.zeros_like(b), b.copy()
+    z = inv * r
+    p = z.copy()
+    rz = r @ z
+    for _ in range(assembly.PCG_MAXITER):
+        if r @ r <= 0.25 * tol * tol:
+            assert np.linalg.norm(b - K @ x) <= tol
+            return x
+        q = K @ p
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = inv * r
+        rz_old, rz = rz, r @ z
+        p = z + (rz / rz_old) * p
+    pytest.fail("reference PCG did not converge")
+
+
 class TestSpdSolve:
     def test_identity_shift(self):
         A = graph_matrix(3, [], [], np.zeros(3))
         rhs = np.array([1.0, -2.0, 0.5])
-        assert spd_solve(A, np.ones(3), rhs) == pytest.approx(rhs)
+        assert spd_solve(A, np.ones(3), rhs, np.zeros(3)) == pytest.approx(rhs)
 
     def test_hand_2x2(self):
         A = graph_matrix(2, [(0, 1)], [-1.0], [2.0, 2.0])
-        x = spd_solve(A, np.zeros(2), np.array([1.0, 0.0]))
+        x = spd_solve(A, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2))
         assert x == pytest.approx([2 / 3, 1 / 3])
 
     def test_zero_matrix_fails(self):
         A = graph_matrix(2, [], [], np.zeros(2))
         with pytest.raises(SolverError):
-            spd_solve(A, np.zeros(2), np.array([1.0, 1.0]))
+            spd_solve(A, np.zeros(2), np.array([1.0, 1.0]), np.zeros(2))
 
     def test_negative_shift_rejected(self):
         A = graph_matrix(1, [], [], [1.0])
         with pytest.raises(ValueError):
-            spd_solve(A, np.array([-1.0]), np.array([1.0]))
+            spd_solve(A, np.array([-1.0]), np.array([1.0]), np.zeros(1))
 
     def test_residual_contract(self):
         rng = np.random.default_rng(5)
@@ -378,7 +400,7 @@ class TestSpdSolve:
         A = stiffness_vertex_quadrature(VertexGraph(m), rng.normal(size=n + 1), 2.0, all_active(m))
         shift = rng.uniform(0.5, 2.0, size=n + 1)
         rhs = rng.normal(size=n + 1)
-        x = spd_solve(A, shift, rhs)
+        x = spd_solve(A, shift, rhs, np.zeros(n + 1))
         res = A @ x + shift * x - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -389,7 +411,7 @@ class TestSpdSolve:
         shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_vertices
         rhs = rng.normal(size=K.n)
         monkeypatch.setattr(assembly, "splu", no_lu)
-        x = spd_solve(K, shift, rhs)
+        x = spd_solve(K, shift, rhs, np.zeros(K.n))
         res = K @ x + shift * x - rhs
         assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -405,18 +427,22 @@ class TestSpdSolve:
             assert np.linalg.norm(K @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
     def test_zero_start_point_is_the_cold_start(self, monkeypatch):
+        # x0 = 0 starts from the residual rhs itself, signed zeros included
         m, A, rng = stiffness_2d()
         shift = np.full(m.n_vertices, 1e-3)
         rhs = rng.normal(size=m.n_vertices)
+        rhs[:3] = [0.0, -0.0, 0.0]
         monkeypatch.setattr(assembly, "splu", no_lu)
-        assert np.array_equal(spd_solve(A, shift, rhs, np.zeros(m.n_vertices)), spd_solve(A, shift, rhs))
+        K = A.shifted(shift)
+        cold = cold_start_pcg(K.tocsr(), K.diagonal(), rhs, 1e-12 * np.linalg.norm(rhs))
+        assert np.array_equal(spd_solve(A, shift, rhs, np.zeros(m.n_vertices)), cold)
 
     def test_path_graph_solves_directly(self, monkeypatch):
         m = build_structured_mesh("interval", (0, 1), 30)
         A = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(31), 2.0, all_active(m))
         monkeypatch.setattr(assembly, "_jacobi_pcg", lambda *args: pytest.fail("PCG on a path graph"))
         rhs = np.linspace(-1.0, 1.0, 31)
-        x = spd_solve(A, np.full(31, 0.1), rhs)
+        x = spd_solve(A, np.full(31, 0.1), rhs, np.zeros(31))
         assert np.linalg.norm(A @ x + 0.1 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
         # the LU path ignores a start point
         for x0 in (np.random.default_rng(3).normal(size=31), x):
@@ -446,7 +472,7 @@ class TestSpdSolve:
         real_splu = assembly.splu
         monkeypatch.setattr(assembly, "splu", lambda K: calls.append(K) or real_splu(K))
         rhs = rng.normal(size=m.n_vertices)
-        x = spd_solve(A, shift, rhs)
+        x = spd_solve(A, shift, rhs, np.zeros(m.n_vertices))
         assert len(calls) == 1
         assert np.linalg.norm(A @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 

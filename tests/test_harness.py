@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pmefem.harness import (
     run_convergence,
     run_simulation,
     tracked_index,
+    validate_config,
     write_convergence_csv,
     write_timeseries_csv,
     write_vtk,
@@ -239,6 +241,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(write_cfg(tmp_path, MINIMAL + "mesh = quad\n"))
 
+    def test_config_is_resolved_into_a_copy(self):
+        cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2)
+        untouched = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2)
+        resolved = validate_config(cfg)
+        assert (resolved.mesh_kind, resolved.counts, resolved.domain) == ("interval", (100,), (-10.0, 10.0))
+        run_simulation(cfg)
+        assert cfg == untouched
+        assert (cfg.mesh_kind, cfg.counts, cfg.domain) == ("", (), ())
+        with pytest.raises(FrozenInstanceError):
+            cfg.dt = 0.05
+
     @pytest.mark.parametrize("scheme,rejected,accepted", [
         ("mixed", "mesh = triangle\n", "mesh = acute_triangle\n"),
         ("logdensity", "mesh = quad\nvariant = edge\n", "mesh = quad\nvariant = vertex\n"),
@@ -358,6 +371,19 @@ class TestRunSimulation:
         assert mesh.vertices[idx, 0] == pytest.approx(np.pi / 2, abs=1e-12)
         st = init_log_state(mesh, problem.rho0, 3.0)
         assert st.density()[idx] == 0.0
+
+    @pytest.mark.parametrize("scheme", ["logdensity", "mixed"])
+    def test_waiting_tracks_the_interface_for_every_theta(self, tmp_path, scheme):
+        # theta > 1/4 has no closed-form waiting time, but the interface is still tracked
+        cfg = RunConfig(scheme=scheme, problem="waiting", m=3.0, dt=0.01, T=0.03, theta=0.5)
+        state, records = run_simulation(cfg)
+        idx = tracked_index(get_problem("waiting", 3.0, theta=0.5), state.mesh, scheme)
+        final = state.density()[idx] if scheme == "logdensity" else state.rho[idx]
+        assert records[-1].tracked_density == final
+        write_timeseries_csv(records, tmp_path / "ts.csv")
+        rows = [line.split(",") for line in (tmp_path / "ts.csv").read_text().splitlines()]
+        column = rows[0].index("tracked_density")
+        assert len(rows) == 4 and all(row[column] for row in rows[1:])
 
     def test_mass_and_energy_columns(self):
         for scheme in ("logdensity", "mixed"):
@@ -738,6 +764,17 @@ class TestRunConvergence:
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2,
                         counts=(20,), domain=(-6.0, 4.0), levels=1)
         assert len(run_convergence(cfg)) == 1
+
+    def test_error_full_counts_every_cell_of_the_domain(self, tmp_path, monkeypatch):
+        # the domain reaches past the problem's default box (-10, 10)
+        states = []
+        run = harness.run_simulation
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: states.append(run(cfg)[0]) or (states[-1], []))
+        text = minimal(n=100, dt=0.05, s0=10, domain="-20 20", levels=1)
+        (row,) = run_convergence(parse_config(write_cfg(tmp_path, text)))
+        exact = lambda pts: get_problem("barenblatt1d", 2.0, s0=10.0).exact(pts, 1.0)
+        assert row.error_full == l2_error(states[0], exact, (-math.inf, math.inf))
+        assert row.error_full > 2 * l2_error(states[0], exact, (-10.0, 10.0))
 
     def test_no_exact_solution_rejected(self):
         cfg = RunConfig(scheme="logdensity", problem="gaussians", m=3.0,

@@ -213,7 +213,7 @@ class TestWarmStart:
             return step_logdensity(st, 1e-3, "vertex"), len(products), len(iterations)
 
         warm, warm_products, warm_iterations = first_step()
-        monkeypatch.setattr(logdensity, "spd_solve", lambda *args: spd_solve(*args[:3]))  # from 0
+        monkeypatch.setattr(logdensity, "spd_solve", lambda *args: spd_solve(*args[:3], np.zeros(len(args[2]))))
         cold, cold_products, cold_iterations = first_step()
         assert warm_iterations == cold_iterations > 1
         assert warm_products < cold_products

@@ -48,6 +48,9 @@ class TestCounts:
         ("nonsense", (0, 1), 4),
         ("interval", (1, 1), 4),
         ("triangle", ((0, 1), (1, 1)), (2, 2)),
+        ("quad", (0, 1, 2), (2, 2)),
+        ("quad", ((0, 1), (0, 1)), 2.5),
+        ("interval", (0, 1), (2.5,)),
     ])
     def test_invalid_input(self, kind, box, counts):
         with pytest.raises(MeshError):

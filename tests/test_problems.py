@@ -1,5 +1,7 @@
 """Closed-form profiles: pointwise values, PDE residuals, mass constancy."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -134,7 +136,8 @@ class TestCatalog:
     def test_names_and_dims(self):
         assert get_problem("barenblatt1d", 2.0).dim == 1
         assert get_problem("barenblatt2d", 2.0).dim == 2
-        assert get_problem("waiting", 3.0).waiting == pytest.approx(0.125)
+        assert waiting_time(3.0, 0.0) == 0.125
+        assert get_problem("waiting", 3.0).interface == math.pi / 2
         assert get_problem("gaussians", 3.0).exact is None
         assert get_problem("horseshoe", 3.0).default_mesh == "acute_triangle"
 
