@@ -7,19 +7,23 @@ density vanishes are tracked with an explicit active mask instead of storing
     M (exp(u^n) - exp(u^{n-1})) + dt * A^{n-1} u^n = 0
 
 on the active set, where M is the lumped mass and A^{n-1} the nonlinear
-stiffness assembled from the previous iterate.  Degrees of freedom are
-(de)activated inside every Newton iteration by a diagonal cutoff test, which
-is how the free boundary advances through previously empty vertices.
+stiffness assembled from the previous iterate, restricted to the active
+subgraph so that it moves no mass.  Degrees of freedom are (de)activated
+inside every Newton iteration by a diagonal cutoff test, which is how the
+free boundary advances through previously empty vertices.  The tolerance
+and the cutoff are relative to the step's scale S = max(M exp(u^{n-1})), so
+a run from lambda * rho0 with step lambda^(1-m) dt is lambda times the unit
+run.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .assembly import (
-    NEWTON_TOL,
     SolverError,
     VertexGraph,
     spd_solve,
@@ -28,11 +32,16 @@ from .assembly import (
 )
 from .mesh import Mesh
 
+log = logging.getLogger(__name__)
+
 #: log value stored at inactive vertices (also the floor of the VTK export)
 LOG_FLOOR = -50.0
 
-#: a vertex is active while its Newton diagonal M e^u + dt A_ii exceeds this
+#: a vertex is active while its Newton diagonal M e^u + dt A_ii exceeds CUTOFF * S
 CUTOFF = 1e-14
+
+#: Newton tolerance on the residual max-norm, relative to S
+NEWTON_RTOL = 1e-10
 
 VARIANTS = ("vertex", "edge")
 
@@ -80,41 +89,62 @@ def init_log_state(mesh: Mesh, rho0, m) -> LogDensityState:
 
 
 class StepSystem:
-    """Frozen data of one implicit step: lumped mass, the stiffness assembled
-    from the previous solution, and the previous density."""
+    """Frozen data of one implicit step: lumped mass, the dt-scaled edge
+    weights of the stiffness assembled from the previous solution, the
+    previous density and the step's scale ``S = max(M e^{u_prev})``."""
 
     def __init__(self, state: LogDensityState, dt: float, variant: str = "vertex"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown stiffness variant {variant!r}")
         if dt <= 0:
             raise ValueError("dt must be positive")
-        self.dt = float(dt)
-        self.M = state.graph.lumped
+        self.graph = graph = state.graph
+        self.M = graph.lumped
         stiffness = stiffness_edge_based if variant == "edge" else stiffness_vertex_quadrature
-        self.A = stiffness(state.graph, state.u, state.m, state.active)
-        self.dtA = self.A.scaled(self.dt)
+        A = stiffness(graph, state.u, state.m, state.active)
+        self.weights = -float(dt) * A.data[graph.upper]
+        self.diag = float(dt) * A.diagonal()
+        absw = np.abs(self.weights)  # ||dt A||_inf: the largest |A_ii| + sum_j |A_ij|
+        self.norm = float(np.max(np.abs(self.diag) + np.bincount(graph.ei, absw, graph.n)
+                                 + np.bincount(graph.ej, absw, graph.n), initial=0.0))
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev
-        self.diag = self.dtA.diagonal()
+        self.S = float(np.max(self.b, initial=0.0))
+        self._last = None
+
+    def operator(self, mask):
+        """dt A on the subgraph of the masked vertices: every edge with an end
+        outside the mask is dropped, so each row sums to zero and the
+        operator moves no mass.  Built only when the mask differs from the
+        previous call's."""
+        last = self._last
+        if last is None or not np.array_equal(last[0], mask):
+            g = self.graph
+            w = np.where(mask[g.ei] & mask[g.ej], self.weights, 0.0)
+            last = self._last = (mask.copy(), g.laplacian(w).restrict(mask))
+        return last[1]
 
     def activation_mask(self, u, active):
         """Per-iteration cutoff test on the Newton system diagonal."""
         dens = np.where(active, np.exp(u), 0.0)
-        return (self.M * dens + self.diag) > CUTOFF
+        return (self.M * dens + self.diag) > CUTOFF * self.S
+
+    def tolerance(self, u, active):
+        """NEWTON_RTOL * S, floored at the roundoff of the residual."""
+        u_max = np.max(np.abs(u[active]), initial=0.0)
+        return max(NEWTON_RTOL * self.S, 64 * np.finfo(float).eps * (self.S + self.norm * u_max))
 
     def residual(self, u, active):
         """Nonlinear residual restricted to the active set (u must carry
         values on every active vertex)."""
-        dens = np.where(active, np.exp(u), 0.0)
-        uz = np.where(active, u, 0.0)
-        r = self.M * (dens - self.exp_prev) + self.dt * (self.A @ uz)
-        return r[active]
+        ua = u[active]
+        return self.M[active] * (np.exp(ua) - self.exp_prev[active]) + self.operator(active) @ ua
 
     def functional(self, u, active):
         """Convex step functional whose stationary point is the step solution."""
-        dens = np.where(active, np.exp(u), 0.0)
-        uz = np.where(active, u, 0.0)
-        return float(self.M @ dens - uz @ self.b + 0.5 * self.dt * (uz @ (self.A @ uz)))
+        ua = u[active]
+        return float(self.M[active] @ np.exp(ua) - ua @ self.b[active]
+                     + 0.5 * (ua @ (self.operator(active) @ ua)))
 
 
 def row_solution(M, a, c):
@@ -151,12 +181,13 @@ def newton_update(system: StepSystem, u, active):
     shift = (system.M * dens)[act]
     rhs = (system.M * (dens * uz - dens + system.exp_prev))[act]
     # the solve is for the next iterate itself: start PCG from the current one
-    x = spd_solve(system.dtA.restrict(act), shift, rhs, uz[act])
+    K = system.operator(act)
+    x = spd_solve(K, shift, rhs, uz[act])
     # a vertex lifted by more than one log-unit (every fresh vertex) would
     # come back down by only one per iteration on M exp(u): put it at the
     # exact solution of its own row M e^v + a v = c, with the neighbours at
     # x and c read off the solved linear row, where that lies lower
-    a = system.diag[act]
+    a = K.diagonal()
     up = (x - np.where(active, u, -np.inf)[act] > 1.0) & (a > 0)  # the closed form needs a > 0
     if up.any():
         idx = np.flatnonzero(act)[up]
@@ -184,26 +215,23 @@ def newton_update(system: StepSystem, u, active):
 
 def step_logdensity(state: LogDensityState, dt, variant: str = "vertex",
                     max_iter: int = 50) -> LogDensityState:
-    """Advance one implicit step with at most ``max_iter`` Newton iterations
-    to the tolerance and one more that polishes.  The lumped mass of the
-    density is conserved up to the Newton tolerance; uniform states are
-    returned unchanged."""
+    """Advance one implicit step with at most ``max_iter`` Newton iterations.
+    The step is accepted once the active set is stable and the residual is
+    within the tolerance; then u is shifted on the active set by the
+    constant c that makes the lumped mass equal the previous step's (logged
+    at DEBUG; it is of the size of the tolerance)."""
     system = StepSystem(state, dt, variant)
     u, active = state.u.copy(), state.active.copy()
-    polish = False
-    for k in range(max_iter + 2):
-        act_now = system.activation_mask(u, active)
-        if np.array_equal(act_now, active):
-            if polish:
-                return replace(state, u=u, active=active, time=state.time + float(dt))
-            if np.max(np.abs(system.residual(u, active)), initial=0.0) <= NEWTON_TOL:
-                if k == 0:
-                    # already a solution (e.g. a uniform state): leave untouched
-                    return replace(state, u=u, active=active, time=state.time + float(dt))
-                # one more iteration drives the residual far below the
-                # tolerance, keeping the per-run mass drift negligible
-                polish = True
-        if k > max_iter:
+    for k in range(max_iter + 1):
+        if (np.array_equal(system.activation_mask(u, active), active)
+                and np.max(np.abs(system.residual(u, active)), initial=0.0) <= system.tolerance(u, active)):
+            mass = float(np.sum(system.M * np.where(active, np.exp(u), 0.0)))
+            c = float(np.log(np.sum(system.b) / mass)) if mass else 0.0  # an empty state stays empty
+            u[active] += c
+            log.debug("log-density step to t=%g: mass correction c=%.3e after %d Newton iterations",
+                      state.time + float(dt), c, k)
+            return replace(state, u=u, active=active, time=state.time + float(dt))
+        if k == max_iter:
             break
         u, active = newton_update(system, u, active)
     res = np.max(np.abs(system.residual(u, active)), initial=0.0)

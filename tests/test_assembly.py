@@ -407,7 +407,7 @@ class TestSpdSolve:
     def test_pcg_path_contract(self, monkeypatch):
         m, A, rng = stiffness_2d()
         active = rng.uniform(size=m.n_vertices) < 0.8
-        K = A.scaled(1e-2).restrict(active)
+        K = GraphMatrix(A.pattern, 1e-2 * A.data).restrict(active)
         shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_vertices
         rhs = rng.normal(size=K.n)
         monkeypatch.setattr(assembly, "splu", no_lu)
@@ -417,7 +417,7 @@ class TestSpdSolve:
 
     def test_start_point_keeps_contract(self, monkeypatch):
         m, A, rng = stiffness_2d()
-        K = A.scaled(1e-2)
+        K = GraphMatrix(A.pattern, 1e-2 * A.data)
         shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_vertices
         rhs = rng.normal(size=K.n)
         monkeypatch.setattr(assembly, "splu", no_lu)
@@ -467,7 +467,7 @@ class TestSpdSolve:
         if case == "iteration_cap":
             monkeypatch.setattr(assembly, "PCG_MAXITER", 1)
         else:
-            A = A.scaled(-1.0)  # negative definite plus a small shift: PCG breaks down
+            A = GraphMatrix(A.pattern, -A.data)  # negative definite plus a small shift: PCG breaks down
         calls = []
         real_splu = assembly.splu
         monkeypatch.setattr(assembly, "splu", lambda K: calls.append(K) or real_splu(K))
@@ -500,10 +500,6 @@ class TestGraphOperator:
         # rows lose exactly their coupling to the dropped vertices
         assert sub.tocsr().sum(axis=1).A1 == pytest.approx(-full[active][:, ~active].sum(axis=1), abs=1e-12)
         assert np.max(np.abs(A.tocsr().sum(axis=1).A1)) < 1e-12
-
-    def test_scaled(self):
-        A = graph_matrix(2, [(0, 1)], [1.0], [0.0, 1.0])
-        assert np.allclose(A.scaled(0.5).tocsr().toarray(), [[0.0, 0.5], [0.5, 0.5]])
 
     def test_inactive_edges_keep_the_pattern(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (4, 4))

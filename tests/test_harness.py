@@ -77,6 +77,7 @@ class TestParseConfig:
         assert cfg.variant == "vertex"
         # single-valued settings are module constants, not config keys
         assert NEWTON_TOL == 1e-11
+        assert ld.NEWTON_RTOL == 1e-10
         assert ld.CUTOFF == 1e-14
         assert ld.LOG_FLOOR == -50.0
         assert DELAUNAY_TOL == 1e-12
@@ -122,9 +123,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mixed scheme only"):
             parse_config(write_cfg(tmp_path, MINIMAL), {"cfl_autohalve": "false"})
 
-    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 3), ("mixed", 4)])
+    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 2), ("mixed", 4)])
     def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, scheme, iterations):
-        # log-density: newton_maxiter iterations and a polishing one;
+        # log-density: newton_maxiter iterations;
         # mixed: newton_maxiter full and newton_maxiter halved iterations
         text = minimal(scheme=scheme, m=3, dt=0.1, T=0.1, n=30, newton_maxiter=2)
         assert cli.main(["simulate", str(write_cfg(tmp_path, text))]) == 2
@@ -442,13 +443,13 @@ class TestRunSimulation:
     def test_solver_failure_carries_step_index(self):
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
                         dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
-        with pytest.raises(RuntimeError, match="step 1"):
+        with pytest.raises(RuntimeError, match="step 1 .*Newton did not converge"):
             run_simulation(cfg)
 
     def test_solver_and_mesh_failures_keep_their_type(self, monkeypatch):
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
                         dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
-        with pytest.raises(SolverError, match=r"step 1 \(t=1e\+08\) failed") as info:
+        with pytest.raises(SolverError, match=r"step 1 \(t=1e\+08\) failed: log-density Newton did not converge") as info:
             run_simulation(cfg)
         assert type(info.value.__cause__) is SolverError
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.3, counts=(30,))
@@ -855,6 +856,7 @@ class TestCli:
         assert cli.main(["simulate", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: step 1")
+        assert "Newton did not converge" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text,message", [

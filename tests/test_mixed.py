@@ -402,7 +402,7 @@ class TestFailureModes:
         mesh = build_structured_mesh("interval", (-10, 10), 30)
         st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0,
                               compute_edge_geometry(mesh))
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="Newton did not converge"):
             step_mixed(st, 1e9, max_iter=1)
 
     def test_nonconvergence_message(self):

@@ -7,7 +7,7 @@ Examples are derandomized, so every run checks the same ones."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmefem import harness
@@ -36,20 +36,27 @@ def cap(cx, cy, radius):
     return lambda pts: np.maximum(1.0 - ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2) / radius**2, 0.0)
 
 
+# each pinned example loses more than 1e-13 of its mass when the step
+# operator couples the active set to inactive vertices and the accepted step
+# is not corrected to exact mass
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=exponents, cx=centers, cy=centers, radius=radii, dt=steps)
+@example(m=3.1047355413290125, cx=-0.1648605952203539, cy=0.21412181598677893,
+         radius=0.4712054357578497, dt=0.00015406014662726198)
 def test_logdensity_edge_step(m, cx, cy, radius, dt):
     check_logdensity_step("edge", m, cx, cy, radius, dt)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=exponents, cx=centers, cy=centers, radius=radii, dt=steps)
+@example(m=4.0, cx=0.4, cy=0.4, radius=0.3, dt=1e-2)
 def test_logdensity_vertex_step(m, cx, cy, radius, dt):
     check_logdensity_step("vertex", m, cx, cy, radius, dt)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=exponents, cx=centers, cy=centers, radius=radii, dt=steps)
+@example(m=1.2, cx=0.0, cy=0.0, radius=0.3, dt=1e-2)
 def test_logdensity_vertex_step_quad(m, cx, cy, radius, dt):
     check_logdensity_step("vertex", m, cx, cy, radius, dt, QUAD_MESH)
 
@@ -59,9 +66,9 @@ def check_logdensity_step(variant, m, cx, cy, radius, dt, mesh=MESH):
     mass = state.total_mass()
     for _ in range(LOG_STEPS):
         new = ld.step_logdensity(state, dt, variant=variant)
-        # mass is kept to the Newton tolerance: where Newton converges linearly
-        # (densities far below their final value) the defect reaches ~1e-11
-        assert new.total_mass() == pytest.approx(mass, rel=1e-10)
+        # an accepted step is corrected to the previous step's mass (abs=0:
+        # pytest.approx would otherwise allow 1e-12 absolute)
+        assert new.total_mass() == pytest.approx(mass, rel=1e-13, abs=0.0)
         energy = ld.entropy_energy(state)
         assert ld.entropy_energy(new) <= energy + 1e-12 * abs(energy)
         assert not np.any(state.active & ~new.active)  # the support never shrinks
