@@ -22,8 +22,8 @@ class SolverError(RuntimeError):
     """Linear or nonlinear solve failed."""
 
 
-#: Newton residual tolerance of the mixed scheme (inf-norm, in mass units)
-NEWTON_TOL = 1e-11
+#: Newton updates allowed in one step of either scheme
+NEWTON_MAXITER = 50
 
 
 class Pattern:

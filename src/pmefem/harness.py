@@ -47,12 +47,10 @@ class RunConfig:
     counts: tuple = ()
     domain: tuple = ()
     variant: str = "vertex"          # log-density stiffness variant
-    newton_maxiter: int = 50
     cfl_autohalve: bool = False      # mixed only
     s0: Optional[float] = None
     theta: float = 0.0
     levels: int = 4
-    cadence: int = 1
     output: str = ""
 
 
@@ -109,12 +107,10 @@ _KEY_PARSERS = {
     "n": _parse_counts,
     "domain": _parse_domain,
     "variant": str,
-    "newton_maxiter": int,
     "cfl_autohalve": lambda s: _BOOL[s.lower()],
     "s0": float,
     "theta": float,
     "levels": int,
-    "cadence": int,
     "output": str,
 }
 
@@ -187,8 +183,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("final time must be at least dt")
     if cfg.variant not in ld.VARIANTS:
         raise ConfigError(f"unknown stiffness variant {cfg.variant!r}")
-    if cfg.cadence < 1 or cfg.levels < 1 or cfg.newton_maxiter < 1:
-        raise ConfigError("cadence, levels and newton_maxiter must be >= 1")
+    if cfg.levels < 1:
+        raise ConfigError("levels must be >= 1")
     if cfg.problem == "waiting" and not 0.0 <= cfg.theta <= 1.0:
         raise ConfigError("theta must lie in [0, 1]")
     if cfg.s0 is not None and not 0.0 < cfg.s0 < math.inf:
@@ -322,12 +318,6 @@ def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
     return int(candidates[np.argmax(bary[candidates])])
 
 
-def _init_state(cfg: RunConfig, problem: ProblemSpec, mesh: Mesh):
-    if cfg.scheme == "logdensity":
-        return ld.init_log_state(mesh, problem.rho0, cfg.m)
-    return mx.init_mixed_state(mesh, problem.rho0, cfg.m, compute_edge_geometry(mesh))
-
-
 def _record(cfg, state, step, tracked, cfl_bound=None):
     """One time-series record; a mixed state takes the CFL bound its step
     computed."""
@@ -351,42 +341,42 @@ def _record(cfg, state, step, tracked, cfl_bound=None):
 
 def run_simulation(cfg: RunConfig):
     """March the configured scheme to the final time with uniform steps (one
-    shortened final step hits T exactly).  Returns the final state and the
-    per-step records.  A failed step raises with its step index and time: a
+    shortened final step hits T exactly).  Returns the final state and one
+    record per step.  A failed step raises with its step index and time: a
     SolverError or MeshError as the same type, anything else as a
     RuntimeError, chained to the original."""
     cfg = validate_config(cfg)
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     mesh = build_structured_mesh(cfg.mesh_kind, cfg.domain, cfg.counts)
-    state = _init_state(cfg, problem, mesh)
+    if cfg.scheme == "logdensity":
+        state = ld.init_log_state(mesh, problem.rho0, cfg.m)
+    else:
+        state = mx.init_mixed_state(mesh, problem.rho0, cfg.m, compute_edge_geometry(mesh))
     tracked = tracked_index(problem, mesh, cfg.scheme)
 
     records = []
     eps = 1e-12 * max(cfg.T, 1.0)
-    step = 0
     bound = None
     while cfg.T - state.time > eps:
         dt = min(cfg.dt, cfg.T - state.time)
         try:
             if cfg.scheme == "logdensity":
-                state = ld.step_logdensity(state, dt, cfg.variant, cfg.newton_maxiter)
+                state = ld.step_logdensity(state, dt, cfg.variant)
             else:
-                state, bound = _mixed_step_with_cfl(state, dt, cfg.cfl_autohalve, cfg.newton_maxiter)
+                state, bound = _mixed_step_with_cfl(state, dt, cfg.cfl_autohalve)
         except Exception as exc:
             kind = type(exc) if isinstance(exc, (SolverError, MeshError)) else RuntimeError
-            raise kind(f"step {step + 1} (t={state.time + dt:g}) failed: {exc}") from exc
-        step += 1
-        if step % cfg.cadence == 0 or cfg.T - state.time <= eps:
-            records.append(_record(cfg, state, step, tracked, bound))
+            raise kind(f"step {len(records) + 1} (t={state.time + dt:g}) failed: {exc}") from exc
+        records.append(_record(cfg, state, len(records) + 1, tracked, bound))
     return state, records
 
 
-def _mixed_step_with_cfl(state, dt, autohalve, max_iter: int = 50):
+def _mixed_step_with_cfl(state, dt, autohalve):
     """Take a mixed step and check dt against the post hoc CFL bound from the
     new flux; returns the new state and that bound.  A violation is logged
     as a warning; with autohalve the step is redone at dt/2 instead, and
     SolverError is raised when 20 halvings do not meet the bound."""
-    new = mx.step_mixed(state, dt, max_iter)
+    new = mx.step_mixed(state, dt)
     halvings = 0
     while dt > (bound := mx.cfl_max_dt(new)[1]):
         if not autohalve:
@@ -396,7 +386,7 @@ def _mixed_step_with_cfl(state, dt, autohalve, max_iter: int = 50):
         if halvings == 20:
             raise SolverError(f"CFL bound {bound:.3e} still below dt={dt:.3e} after 20 halvings")
         dt, halvings = 0.5 * dt, halvings + 1
-        new = mx.step_mixed(state, dt, max_iter)
+        new = mx.step_mixed(state, dt)
     return new, bound
 
 
@@ -418,7 +408,7 @@ def run_convergence(cfg: RunConfig):
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution for error studies")
-    inner = problem.inner_region or cfg.domain
+    inner = problem.inner_region
     for level in range(cfg.levels):  # l2_error's region rule, before any level runs
         lcfg = _level_config(cfg, level)
         mesh = build_structured_mesh(lcfg.mesh_kind, lcfg.domain, lcfg.counts)
@@ -435,19 +425,12 @@ def run_convergence(cfg: RunConfig):
     with ThreadPoolExecutor(max_workers=min(4, cfg.levels)) as pool:
         results = list(pool.map(one_level, range(cfg.levels)))
 
-    e_inner = [r[0] for r in results]
-    e_full = [r[1] for r in results]
-    o_inner = convergence_order(e_inner)
-    o_full = convergence_order(e_full)
-    rows = []
-    for lvl, (ei, ef, lcfg) in enumerate(zip(e_inner, e_full, (r[2] for r in results))):
-        label = "x".join(str(c) for c in lcfg.counts) if len(lcfg.counts) > 1 else str(lcfg.counts[0])
-        rows.append(ConvergenceRow(
-            level=lvl, N=label, dt=lcfg.dt,
-            error_inner=ei, order_inner=o_inner[lvl],
-            error_full=ef, order_full=o_full[lvl],
-        ))
-    return rows
+    e_inner, e_full, lcfgs = zip(*results)
+    o_inner, o_full = convergence_order(e_inner), convergence_order(e_full)
+    return [ConvergenceRow(level=lvl, N="x".join(str(c) for c in lcfg.counts), dt=lcfg.dt,
+                           error_inner=e_inner[lvl], order_inner=o_inner[lvl],
+                           error_full=e_full[lvl], order_full=o_full[lvl])
+            for lvl, lcfg in enumerate(lcfgs)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import assembly
 from .assembly import (
     SolverError,
     VertexGraph,
@@ -202,27 +203,28 @@ def newton_update(system: StepSystem, u, active):
         return u_full, act
 
     f0 = system.functional(u, act)
+    # the functional's roundoff grows with ||dt A||_inf |u|^2 at large dt
+    slack = max(1e-12 * max(1.0, abs(f0)), 64 * np.finfo(float).eps * system.norm * float(u[act] @ u[act]))
     step = u_full[act] - u[act]
     lam = 1.0
     for _ in range(LINE_SEARCH_HALVINGS):
         cand = np.full_like(u, LOG_FLOOR)
         cand[act] = u[act] + lam * step
-        if system.functional(cand, act) <= f0 + 1e-12 * max(1.0, abs(f0)):
+        if system.functional(cand, act) <= f0 + slack:
             return cand, act
         lam *= 0.5
     raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
 
 
-def step_logdensity(state: LogDensityState, dt, variant: str = "vertex",
-                    max_iter: int = 50) -> LogDensityState:
-    """Advance one implicit step with at most ``max_iter`` Newton iterations.
+def step_logdensity(state: LogDensityState, dt, variant: str = "vertex") -> LogDensityState:
+    """Advance one implicit step with at most NEWTON_MAXITER Newton iterations.
     The step is accepted once the active set is stable and the residual is
     within the tolerance; then u is shifted on the active set by the
     constant c that makes the lumped mass equal the previous step's (logged
     at DEBUG; it is of the size of the tolerance)."""
     system = StepSystem(state, dt, variant)
     u, active = state.u.copy(), state.active.copy()
-    for k in range(max_iter + 1):
+    for k in range(assembly.NEWTON_MAXITER + 1):
         if (np.array_equal(system.activation_mask(u, active), active)
                 and np.max(np.abs(system.residual(u, active)), initial=0.0) <= system.tolerance(u, active)):
             mass = float(np.sum(system.M * np.where(active, np.exp(u), 0.0)))
@@ -231,9 +233,8 @@ def step_logdensity(state: LogDensityState, dt, variant: str = "vertex",
             log.debug("log-density step to t=%g: mass correction c=%.3e after %d Newton iterations",
                       state.time + float(dt), c, k)
             return replace(state, u=u, active=active, time=state.time + float(dt))
-        if k == max_iter:
-            break
-        u, active = newton_update(system, u, active)
+        if k < assembly.NEWTON_MAXITER:
+            u, active = newton_update(system, u, active)
     res = np.max(np.abs(system.residual(u, active)), initial=0.0)
     raise SolverError(f"log-density Newton did not converge in {k} iterations: "
                       f"residual {res:.3e} on {active.sum()} active vertices")

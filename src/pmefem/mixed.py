@@ -16,22 +16,28 @@ solve gives y = D delta.
 
 An update is halved only while the iteration oscillates: the residual did
 not decrease and the upwind values changed since the previous iterate; full
-steps resume as soon as they repeat, and after ``max_iter`` iterations
-every update is halved, for ``max_iter`` more.  A step is accepted when
-the residual is within the tolerance under the current upwind values and,
-if a near-zero flux flipped sign on roundoff, under the previous ones too:
-the state then solves the step under either choice.
+steps resume as soon as they repeat.  A step is accepted when the residual
+is within the tolerance under the current upwind values and, if a near-zero
+flux flipped sign on roundoff, under the previous ones too: the state then
+solves the step under either choice.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import NEWTON_TOL, GraphOperator, SolverError
+from . import assembly
+from .assembly import GraphOperator, SolverError
 from .assembly import spd_solve as spsolve
 from .mesh import Mesh, MeshError, is_delaunay
+
+log = logging.getLogger(__name__)
+
+#: Newton residual tolerance (inf-norm, in mass units), floored at roundoff
+NEWTON_TOL = 1e-11
 
 
 class CellGraph(GraphOperator):
@@ -113,11 +119,12 @@ def _newton_update(lap, dmu, vol, r):
     return delta, coupled
 
 
-def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
-    """Advance one implicit step with at most ``max_iter`` Newton iterations,
-    then ``max_iter`` halved ones.  Cell mass balances hold to the Newton
-    tolerance and the total mass is conserved exactly up to it; uniform
-    states are returned unchanged."""
+def step_mixed(state: MixedState, dt) -> MixedState:
+    """Advance one implicit step with at most NEWTON_MAXITER Newton updates.
+    Cell mass balances hold to NEWTON_TOL, floored at the residual's
+    roundoff; the accepted density is scaled by M(rho_prev)/M(rho) to the
+    previous step's mass (the factor is logged at DEBUG).  Uniform states
+    are returned unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     mesh, m, graph = state.mesh, state.m, state.graph
@@ -125,6 +132,11 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
     n, vol = mesh.n_cells, mesh.cell_volumes
     rho_prev = state.rho
     dt = float(dt)
+    # roundoff of the residual: max |K| rho_prev plus ||L_g||_inf max mu, with
+    # ||L_g||_inf <= 2 dt max(rho_prev) (faces per cell) / min(omega)
+    scale = float(np.max(vol * rho_prev, initial=0.0))
+    lap_norm = 2.0 * dt * float(np.max(rho_prev, initial=0.0)) * mesh.cells.shape[1]
+    lap_norm /= np.min(graph.omega, initial=np.inf)
 
     def balance(rho, flux, rhat):
         f = dt * (rhat * flux)
@@ -132,16 +144,20 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
 
     rho = rho_prev
     rhat_last = res_last = None
-    coupled = np.zeros(n, dtype=bool)
-    for it in range(2 * max_iter + 1):
+    for it in range(assembly.NEWTON_MAXITER + 1):
         flux = graph.flux(potential_from_density(rho, m))
         rhat = np.where(flux >= 0, rho_prev[k1], rho_prev[k2])
         r = balance(rho, flux, rhat)
         res = float(np.max(np.abs(r)))
         settled = rhat_last is None or np.array_equal(rhat, rhat_last)
-        if res <= NEWTON_TOL and (settled or np.max(np.abs(balance(rho, flux, rhat_last))) <= NEWTON_TOL):
-            return replace(state, rho=rho, time=state.time + dt)
-        if it == 2 * max_iter:
+        mu_max = potential_from_density(rho.max(), m)
+        tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * (scale + lap_norm * mu_max))
+        if res <= tol and (settled or np.max(np.abs(balance(rho, flux, rhat_last))) <= tol):
+            factor = float(vol @ rho_prev) / float(vol @ rho) if rho_prev.any() else 1.0  # empty stays empty
+            log.debug("mixed step to t=%g: mass scaling factor f - 1 = %.3e after %d Newton iterations",
+                      state.time + dt, factor - 1.0, it)
+            return replace(state, rho=factor * rho, time=state.time + dt)
+        if it == assembly.NEWTON_MAXITER:
             raise SolverError(f"mixed Newton did not converge in {it} iterations: "
                               f"residual {res:.3e} on {coupled.sum()} coupled cells")
 
@@ -151,8 +167,8 @@ def step_mixed(state: MixedState, dt, max_iter: int = 50) -> MixedState:
                                         _dmu(rho, m), vol, r)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")
-        if it >= max_iter or (not settled and res >= res_last):
-            delta = 0.5 * delta  # halved while the upwind values oscillate, always after max_iter
+        if not settled and res >= res_last:
+            delta = 0.5 * delta  # halved while the upwind values oscillate
         rho = rho + delta
         rhat_last, res_last = rhat, res
 

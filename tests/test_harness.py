@@ -10,10 +10,10 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from pmefem import cli, harness
+from pmefem import assembly, cli, harness
 from pmefem import logdensity as ld
 from pmefem import mixed as mx
-from pmefem.assembly import NEWTON_TOL, GraphOperator, SolverError
+from pmefem.assembly import GraphOperator, SolverError
 from pmefem.harness import (
     ConfigError,
     RunConfig,
@@ -73,16 +73,17 @@ class TestParseConfig:
         assert cfg.counts == (100,)
         assert cfg.domain == (-10.0, 10.0)
         assert cfg.mesh_kind == "interval"
-        assert cfg.newton_maxiter == 50
         assert cfg.variant == "vertex"
         # single-valued settings are module constants, not config keys
-        assert NEWTON_TOL == 1e-11
+        assert assembly.NEWTON_MAXITER == 50
+        assert mx.NEWTON_TOL == 1e-11
         assert ld.NEWTON_RTOL == 1e-10
         assert ld.CUTOFF == 1e-14
         assert ld.LOG_FLOOR == -50.0
         assert DELAUNAY_TOL == 1e-12
 
-    @pytest.mark.parametrize("line", ["newton_tol = 1e-11", "cutoff = 1e-14", "quad_degree = 4", "u_floor = -50"])
+    @pytest.mark.parametrize("line", ["newton_tol = 1e-11", "cutoff = 1e-14", "quad_degree = 4", "u_floor = -50",
+                                      "newton_maxiter = 50", "cadence = 1"])
     def test_removed_keys_are_unknown(self, tmp_path, line):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config(write_cfg(tmp_path, MINIMAL + line + "\n"))
@@ -123,20 +124,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mixed scheme only"):
             parse_config(write_cfg(tmp_path, MINIMAL), {"cfl_autohalve": "false"})
 
-    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 2), ("mixed", 4)])
-    def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, scheme, iterations):
-        # log-density: newton_maxiter iterations;
-        # mixed: newton_maxiter full and newton_maxiter halved iterations
-        text = minimal(scheme=scheme, m=3, dt=0.1, T=0.1, n=30, newton_maxiter=2)
+    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 2), ("mixed", 2)])
+    def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, monkeypatch, scheme, iterations):
+        # one budget of Newton updates for both schemes, read at call time
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", iterations)
+        text = minimal(scheme=scheme, m=3, dt=0.1, T=0.1, n=30)
         assert cli.main(["simulate", str(write_cfg(tmp_path, text))]) == 2
         assert f"Newton did not converge in {iterations} iterations" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("scheme", ["logdensity", "mixed"])
-    @pytest.mark.parametrize("maxiter", [0, -3])
-    def test_newton_maxiter_below_one_rejected(self, tmp_path, scheme, maxiter):
-        text = MINIMAL.replace("logdensity", scheme) + f"newton_maxiter = {maxiter}\n"
-        with pytest.raises(ConfigError, match="newton_maxiter must be >= 1"):
-            parse_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize("theta", ["1.5", "-0.1", "nan"])
     def test_waiting_theta_outside_unit_interval(self, tmp_path, capsys, theta):
@@ -402,11 +396,12 @@ class TestRunSimulation:
         _, records = run_simulation(cfg)
         assert all(r.min_density >= 0.0 for r in records)
 
-    def test_cadence_thins_records(self):
+    def test_every_step_recorded(self):
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
-                        dt=0.1, T=0.5, counts=(40,), cadence=2)
+                        dt=0.1, T=0.45, counts=(40,))
         _, records = run_simulation(cfg)
-        assert [r.step for r in records] == [2, 4, 5]  # final step always recorded
+        assert [r.step for r in records] == [1, 2, 3, 4, 5]  # the shortened final step too
+        assert records[-1].time == pytest.approx(0.45)
 
     def test_cfl_autohalve_runs(self):
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0,
@@ -440,27 +435,30 @@ class TestRunSimulation:
                                             counts=(8, 8)))
         assert calls == [state.mesh]
 
-    def test_solver_failure_carries_step_index(self):
+    def test_solver_failure_carries_step_index(self, monkeypatch):
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 2)
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
-                        dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
+                        dt=1e8, T=2e8, counts=(30,))
         with pytest.raises(RuntimeError, match="step 1 .*Newton did not converge"):
             run_simulation(cfg)
 
     def test_solver_and_mesh_failures_keep_their_type(self, monkeypatch):
         cfg = RunConfig(scheme="logdensity", problem="barenblatt1d", m=2.0,
-                        dt=1e8, T=2e8, counts=(30,), newton_maxiter=2)
-        with pytest.raises(SolverError, match=r"step 1 \(t=1e\+08\) failed: log-density Newton did not converge") as info:
-            run_simulation(cfg)
+                        dt=1e8, T=2e8, counts=(30,))
+        with monkeypatch.context() as budget:
+            budget.setattr(assembly, "NEWTON_MAXITER", 2)
+            with pytest.raises(SolverError, match=r"step 1 \(t=1e\+08\) failed: log-density Newton did not converge") as info:
+                run_simulation(cfg)
         assert type(info.value.__cause__) is SolverError
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.3, counts=(30,))
         steps = []
         step = mx.step_mixed
 
-        def failing_step(state, dt, max_iter):
+        def failing_step(state, dt):
             if steps:
                 raise MeshError("bad face")
             steps.append(dt)
-            return step(state, dt, max_iter)
+            return step(state, dt)
 
         monkeypatch.setattr(mx, "step_mixed", failing_step)
         with pytest.raises(MeshError, match=r"step 2 \(t=0.2\) failed: bad face") as info:
@@ -851,8 +849,9 @@ class TestCli:
         assert cli.main(["simulate", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_solver_failure_is_reported(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, minimal(dt="1e8", T="2e8", newton_maxiter=2))
+    def test_solver_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 2)
+        cfg = write_cfg(tmp_path, minimal(dt="1e8", T="2e8"))
         assert cli.main(["simulate", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: step 1")

@@ -428,19 +428,21 @@ class TestDiagnostics:
 
 
 class TestFailureModes:
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 1)
         mesh = build_structured_mesh("interval", (0, 1), 8)
         st = positive_state(mesh, seed=3)
         with pytest.raises(SolverError, match="Newton did not converge"):
-            step_logdensity(st, 1e6, max_iter=1)
+            step_logdensity(st, 1e6)
 
-    def test_nonconvergence_message(self):
+    def test_nonconvergence_message(self, monkeypatch):
         # one iteration does not reach the tolerance
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 1)
         mesh = build_structured_mesh("interval", (-10, 10), 30)
         st = init_log_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
         with pytest.raises(SolverError, match=r"^log-density Newton did not converge in 1 iterations: "
                                               r"residual \d\.\d{3}e-0\d on 19 active vertices$"):
-            step_logdensity(st, 0.1, max_iter=1)
+            step_logdensity(st, 0.1)
 
     def test_invalid_variant(self):
         mesh = build_structured_mesh("interval", (0, 1), 4)

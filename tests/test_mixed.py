@@ -1,9 +1,11 @@
 """Mixed scheme: condensation, upwinding, conservation, CFL positivity."""
 
+import logging
+
 import numpy as np
 import pytest
 
-from pmefem import harness, mixed
+from pmefem import assembly, harness, mixed
 from pmefem.assembly import SolverError, spd_solve
 from pmefem.harness import RunConfig, run_simulation
 from pmefem.mesh import MeshError, build_structured_mesh, compute_edge_geometry, make_mesh
@@ -397,19 +399,43 @@ class TestNewtonUpdate:
         assert 0 < len(solves) <= 12
 
 
-class TestFailureModes:
-    def test_nonconvergence_raises(self):
+class TestLargeSteps:
+    @pytest.mark.parametrize("dt", [1e4, 1e5, 1e8], ids=["1e4", "1e5", "1e8"])
+    def test_large_steps(self, dt):
+        # the tolerance is floored at the residual's roundoff, which grows with dt
         mesh = build_structured_mesh("interval", (-10, 10), 30)
-        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 2, 3.0, 1), 2.0,
+        st = init_mixed_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0, compute_edge_geometry(mesh))
+        new = step_mixed(st, dt)
+        assert new.total_mass() == pytest.approx(st.total_mass(), rel=1e-14, abs=0.0)
+        assert new.rho.min() >= 0.0
+
+    def test_mass_factor_is_roundoff(self, caplog):
+        # the mass scaling of an accepted step is logged; on the horseshoe it
+        # corrects roundoff only
+        with caplog.at_level(logging.DEBUG, logger="pmefem.mixed"):
+            run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=0.1,
+                                     counts=(40, 40)))
+        factors = [r.args[1] for r in caplog.records if r.name == "pmefem.mixed"]
+        assert len(factors) == 100
+        assert max(abs(f) for f in factors) <= 1e-12
+
+
+class TestFailureModes:
+    def test_nonconvergence_raises(self, monkeypatch):
+        # the m = 3 step needs three Newton updates
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 1)
+        mesh = build_structured_mesh("interval", (-10, 10), 30)
+        st = init_mixed_state(mesh, lambda pts: barenblatt(pts[:, 0], 0.0, 3, 3.0, 1), 3.0,
                               compute_edge_geometry(mesh))
         with pytest.raises(SolverError, match="Newton did not converge"):
-            step_mixed(st, 1e9, max_iter=1)
+            step_mixed(st, 1e-2)
 
-    def test_nonconvergence_message(self):
-        # one full and one halved iteration
+    def test_nonconvergence_message(self, monkeypatch):
+        # two iterations do not reach the tolerance
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 2)
         problem = get_problem("horseshoe", 3.0)
         mesh = build_structured_mesh("acute_triangle", problem.domain, (8, 8))
         st = init_mixed_state(mesh, problem.rho0, 3.0, compute_edge_geometry(mesh))
         with pytest.raises(SolverError, match=r"^mixed Newton did not converge in 2 iterations: "
                                               r"residual \d\.\d{3}e-0\d on 32 coupled cells$"):
-            step_mixed(st, 1e-3, max_iter=1)
+            step_mixed(st, 1e-3)

@@ -2,8 +2,10 @@
 step of the mixed scheme keep mass, do not raise the energy and stay
 positive, for m in (1, 4] (the mixed scheme from m = 1.0001, see below) and
 compactly supported data, on an acute triangle mesh and (vertex variant and
-mixed scheme) on a quad mesh; the log-density support does not shrink.
-Examples are derandomized, so every run checks the same ones."""
+mixed scheme) on a quad mesh; the log-density support does not shrink.  The
+log-density variants are also checked at steps from 1e-5 to 1e5, the edge
+variant on positive data.  Examples are derandomized, so every run checks
+the same ones."""
 
 import numpy as np
 import pytest
@@ -61,8 +63,30 @@ def test_logdensity_vertex_step_quad(m, cx, cy, radius, dt):
     check_logdensity_step("vertex", m, cx, cy, radius, dt, QUAD_MESH)
 
 
-def check_logdensity_step(variant, m, cx, cy, radius, dt, mesh=MESH):
-    state = ld.init_log_state(mesh, cap(cx, cy, radius), m)
+# steps over ten decades, drawn by their exponent; one example stalled the
+# line search at dt = 1e4 while its acceptance test was below the functional's
+# roundoff
+log_steps = st.floats(min_value=-5.0, max_value=5.0)
+floors = st.floats(min_value=1e-2, max_value=1.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=exponents, cx=centers, cy=centers, radius=radii, log_dt=log_steps)
+@example(m=2.0, cx=0.1, cy=-0.2, radius=0.5, log_dt=4.0)
+def test_logdensity_vertex_step_any_dt(m, cx, cy, radius, log_dt):
+    check_logdensity_step("vertex", m, cx, cy, radius, 10.0**log_dt)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=exponents, cx=centers, cy=centers, radius=radii, log_dt=log_steps, floor=floors)
+@example(m=2.0, cx=0.1, cy=-0.2, radius=0.5, log_dt=5.0, floor=0.1)
+def test_logdensity_edge_step_any_dt(m, cx, cy, radius, log_dt, floor):
+    check_logdensity_step("edge", m, cx, cy, radius, 10.0**log_dt, floor=floor)
+
+
+def check_logdensity_step(variant, m, cx, cy, radius, dt, mesh=MESH, floor=0.0):
+    bump = cap(cx, cy, radius)
+    state = ld.init_log_state(mesh, lambda pts: bump(pts) + floor, m)
     mass = state.total_mass()
     for _ in range(LOG_STEPS):
         new = ld.step_logdensity(state, dt, variant=variant)
@@ -102,7 +126,8 @@ def check_mixed_step(m, cx, cy, radius, dt, mesh=MESH):
     # halving until the post hoc CFL bound holds is what guarantees positivity
     new, bound = harness._mixed_step_with_cfl(state, dt, autohalve=True)
     assert bound == mx.cfl_max_dt(new)[1]
-    assert new.total_mass() == pytest.approx(state.total_mass(), rel=1e-12)
+    # an accepted step is scaled to the previous step's mass (abs=0 as above)
+    assert new.total_mass() == pytest.approx(state.total_mass(), rel=1e-13, abs=0.0)
     energy = mx.physical_energy(state)
     assert mx.physical_energy(new) <= energy + 1e-12 * energy
     assert new.rho.min() >= -1e-12
