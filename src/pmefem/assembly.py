@@ -8,6 +8,7 @@ and a SPD solve on the shared graph operator.
 
 from __future__ import annotations
 
+import logging
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +17,8 @@ from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
 from .mesh import INTERVAL, QUAD, TRIANGLE, Mesh
+
+log = logging.getLogger(__name__)
 
 
 class SolverError(RuntimeError):
@@ -235,17 +238,27 @@ def stiffness_vertex_quadrature(graph: VertexGraph, u_prev, m, active) -> GraphM
 #: Jacobi-PCG iterations allowed before the direct fallback
 PCG_MAXITER = 500
 
+#: largest forcing term of an inexact Newton solve (at 1e-2 the mixed Newton
+#: stops at its budget for m = 1.0001)
+FORCING_CAP = 1e-4
 
-def spd_solve(A: GraphMatrix, shift, rhs, x0):
+
+def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
     """Solve (diag(shift) + A) x = rhs with the contract
     ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
     (2D meshes) try Jacobi-PCG from the start point x0, accepted only on
     its true residual; path graphs (1D) and systems PCG misses go to sparse
     LU with one step of iterative refinement, which ignores x0 and also
     accepts the backward-error bound 1e-12 (||rhs|| + ||K||_inf ||x||).
-    The start point changes the iterations, not the contract.  Raises
-    ValueError on a negative shift or an x0 that is not a finite vector of
-    the system's size, SolverError on singular systems."""
+    The start point changes the iterations, not the contract.
+
+    With ``forcing`` set, a Newton loop whose start residual
+    r0 = rhs - K x0 is its Newton residual asks for an inexact solve: PCG
+    stops at max(1e-12 ||rhs||, eta ||r0||) with eta = min(FORCING_CAP,
+    ||r0||), so Newton keeps its quadratic rate.  The LU path ignores it.
+
+    Raises ValueError on a negative shift or an x0 that is not a finite
+    vector of the system's size, SolverError on singular systems."""
     shift = np.asarray(shift, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if A.n == 0:
@@ -258,7 +271,7 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0):
     K = A.shifted(shift)
     tol = 1e-12 * np.linalg.norm(rhs)
     if np.diff(K.pattern.indptr).max() > 3:
-        x = _jacobi_pcg(K.tocsr(), K.diagonal(), rhs, tol, x0)
+        x = _jacobi_pcg(K.tocsr(), K.diagonal(), rhs, tol, x0, forcing)
         if x is not None:
             return x
     K = K.tocsr()
@@ -281,24 +294,36 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0):
     return x
 
 
-def _jacobi_pcg(K, d, b, tol, x0):
+def _jacobi_pcg(K, d, b, tol, x0, forcing):
     """Jacobi-preconditioned CG from x = x0.  Returns x when its true
-    residual is at most tol, or None when K is not positive definite along a
-    search direction or PCG_MAXITER iterations do not get there."""
+    residual is at most tol, or the forced tolerance of ``spd_solve`` where
+    ``forcing`` makes that looser, or None when K is not positive definite
+    along a search direction or PCG_MAXITER iterations do not get there.
+    Each solve is logged at DEBUG."""
     if not np.all(d > 0):
         return None
     inv = 1.0 / d
     x = x0.copy()
     r = b - K @ x
+    kind = "strict"
+    if forcing:
+        r0 = np.linalg.norm(r)
+        forced = min(FORCING_CAP, r0) * r0
+        if forced > tol:
+            tol, kind = forced, "forced"
     z = inv * r
     p = z.copy()
     rz = r @ z
-    for _ in range(PCG_MAXITER):
+    for k in range(PCG_MAXITER):
         if r @ r <= 0.25 * tol * tol:  # the recurrence drifts from b - Kx: check that too
-            return x if np.linalg.norm(b - K @ x) <= tol else None
+            ok = np.linalg.norm(b - K @ x) <= tol
+            log.debug("PCG on %d unknowns: %d iterations, %s tolerance %.3e%s",
+                      len(b), k, kind, tol, "" if ok else ", true residual missed it")
+            return x if ok else None
         q = K @ p
         pq = p @ q
         if not pq > 0:
+            log.debug("PCG on %d unknowns: breakdown after %d iterations", len(b), k)
             return None
         alpha = rz / pq
         x += alpha * p
@@ -306,4 +331,5 @@ def _jacobi_pcg(K, d, b, tol, x0):
         z = inv * r
         rz_old, rz = rz, r @ z
         p = z + (rz / rz_old) * p
+    log.debug("PCG on %d unknowns: %d iterations did not reach tolerance %.3e", len(b), PCG_MAXITER, tol)
     return None

@@ -181,18 +181,19 @@ def newton_update(system: StepSystem, u, active):
     uz = np.where(active, u, 0.0)
     shift = (system.M * dens)[act]
     rhs = (system.M * (dens * uz - dens + system.exp_prev))[act]
-    # the solve is for the next iterate itself: start PCG from the current one
+    # the solve is for the next iterate itself: start PCG from the current
+    # one, whose residual is the Newton residual, so the solve may be inexact
     K = system.operator(act)
-    x = spd_solve(K, shift, rhs, uz[act])
+    x = spd_solve(K, shift, rhs, uz[act], forcing=True)
     # a vertex lifted by more than one log-unit (every fresh vertex) would
     # come back down by only one per iteration on M exp(u): put it at the
     # exact solution of its own row M e^v + a v = c, with the neighbours at
-    # x and c read off the solved linear row, where that lies lower
+    # x and c = b_i - sum_{j != i} K_ij x_j, where that lies lower
     a = K.diagonal()
     up = (x - np.where(active, u, -np.inf)[act] > 1.0) & (a > 0)  # the closed form needs a > 0
     if up.any():
         idx = np.flatnonzero(act)[up]
-        c = system.M[idx] * dens[idx] * (x[up] - uz[idx] + 1.0) + a[up] * x[up]
+        c = system.b[idx] - (K @ x - a * x)[up]
         x[up] = np.minimum(x[up], row_solution(system.M[idx], a[up], c))
 
     u_full = np.full_like(u, LOG_FLOOR)

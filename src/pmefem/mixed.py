@@ -105,15 +105,17 @@ def _dmu(rho, m):
     return m * np.maximum(rho, 1e-12) ** (m - 2.0)
 
 
-def _newton_update(lap, dmu, vol, r):
+def _newton_update(lap, dmu, vol, r, forcing=False):
     """delta with (V + L D) delta = -r: y = D delta solves (V/D + L) y = -r on the
     cells where D_k L_kk is above roundoff of |K|, the others take (-r - L y) / |K|.
-    Returns delta and the mask of those coupled cells."""
+    The solve starts from 0, so ``forcing`` makes it inexact relative to the
+    coupled part of r (see ``spd_solve``).  Returns delta and the mask of
+    those coupled cells."""
     coupled = dmu * lap.diagonal() > 2.0**-52 * vol
     y = np.zeros(len(vol))
     if coupled.any():
         y[coupled] = spsolve(lap.restrict(coupled), vol[coupled] / dmu[coupled], -r[coupled],
-                             np.zeros(coupled.sum()))
+                             np.zeros(coupled.sum()), forcing=forcing)
     delta = (-r - lap @ y) / vol
     delta[coupled] = y[coupled] / dmu[coupled]
     return delta, coupled
@@ -164,7 +166,7 @@ def step_mixed(state: MixedState, dt) -> MixedState:
         # Newton step with frozen upwind directions
         g = dt * rhat / graph.omega
         delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
-                                        _dmu(rho, m), vol, r)
+                                        _dmu(rho, m), vol, r, forcing=True)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")
         if not settled and res >= res_last:

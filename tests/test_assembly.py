@@ -1,5 +1,6 @@
 """Lumped mass, harmonic averages, the two stiffness variants, SPD solves."""
 
+import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -350,11 +351,12 @@ def stiffness_2d(seed=5, counts=(8, 8)):
                                           all_active(m)), rng
 
 
-def cold_start_pcg(K, d, b, tol):
-    """Jacobi-PCG from x = 0 with the residual b itself: the solver's
-    iteration without a start point, kept as the reference."""
+def reference_pcg(K, d, b, tol, x0=None):
+    """Jacobi-PCG to the strict tolerance tol, the solver's stopping rule
+    without forcing, kept as the reference: from x0 with the residual
+    b - K x0, or without a start point from 0 with the residual b itself."""
     inv = 1.0 / d
-    x, r = np.zeros_like(b), b.copy()
+    x, r = (np.zeros_like(b), b.copy()) if x0 is None else (x0.copy(), b - K @ x0)
     z = inv * r
     p = z.copy()
     rz = r @ z
@@ -370,6 +372,23 @@ def cold_start_pcg(K, d, b, tol):
         rz_old, rz = rz, r @ z
         p = z + (rz / rz_old) * p
     pytest.fail("reference PCG did not converge")
+
+
+def counted_pcg(monkeypatch):
+    """Count the matrix-vector products of every PCG solve."""
+    products = []
+
+    class Counted:
+        def __init__(self, K):
+            self.K = K
+
+        def __matmul__(self, x):
+            products.append(1)
+            return self.K @ x
+
+    pcg = assembly._jacobi_pcg
+    monkeypatch.setattr(assembly, "_jacobi_pcg", lambda K, *args: pcg(Counted(K), *args))
+    return products
 
 
 class TestSpdSolve:
@@ -434,7 +453,7 @@ class TestSpdSolve:
         rhs[:3] = [0.0, -0.0, 0.0]
         monkeypatch.setattr(assembly, "splu", no_lu)
         K = A.shifted(shift)
-        cold = cold_start_pcg(K.tocsr(), K.diagonal(), rhs, 1e-12 * np.linalg.norm(rhs))
+        cold = reference_pcg(K.tocsr(), K.diagonal(), rhs, 1e-12 * np.linalg.norm(rhs))
         assert np.array_equal(spd_solve(A, shift, rhs, np.zeros(m.n_vertices)), cold)
 
     def test_path_graph_solves_directly(self, monkeypatch):
@@ -447,6 +466,60 @@ class TestSpdSolve:
         # the LU path ignores a start point
         for x0 in (np.random.default_rng(3).normal(size=31), x):
             assert np.array_equal(spd_solve(A, np.full(31, 0.1), rhs, x0), x)
+
+    def test_default_is_the_strict_rule(self, monkeypatch):
+        m, A, rng = stiffness_2d()
+        shift = rng.uniform(0.5, 2.0, size=m.n_vertices) / m.n_vertices
+        rhs, x0 = rng.normal(size=m.n_vertices), rng.normal(size=m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        K = A.shifted(shift)
+        ref = reference_pcg(K.tocsr(), K.diagonal(), rhs, 1e-12 * np.linalg.norm(rhs), x0)
+        assert np.array_equal(spd_solve(A, shift, rhs, x0), ref)
+        assert np.array_equal(spd_solve(A, shift, rhs, x0, forcing=False), ref)
+
+    @pytest.mark.parametrize("offset", [1e-1, 1e-4, 1e-7])
+    def test_forcing_bound_with_fewer_products(self, monkeypatch, offset):
+        # r0 above and below the cap: eta = 1e-4, then eta = ||r0||
+        m, A, rng = stiffness_2d()
+        shift = rng.uniform(0.5, 2.0, size=m.n_vertices) / m.n_vertices
+        rhs = rng.normal(size=m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        K = A.shifted(shift).tocsr()
+        x0 = np.linalg.solve(K.toarray(), rhs) + offset * rng.normal(size=m.n_vertices)
+        r0 = np.linalg.norm(rhs - K @ x0)
+        bound = max(1e-12 * np.linalg.norm(rhs), min(1e-4, r0) * r0)
+        assert bound > 1e-12 * np.linalg.norm(rhs)
+        products = counted_pcg(monkeypatch)
+        strict = spd_solve(A, shift, rhs, x0)
+        strict_products = len(products)
+        products.clear()
+        x = spd_solve(A, shift, rhs, x0, forcing=True)
+        assert np.linalg.norm(rhs - K @ x) <= bound
+        assert len(products) < strict_products
+        assert not np.array_equal(x, strict)
+
+    def test_forcing_leaves_path_graphs_alone(self):
+        m = build_structured_mesh("interval", (0, 1), 30)
+        A = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(31), 2.0, all_active(m))
+        rng = np.random.default_rng(4)
+        rhs, x0 = rng.normal(size=31), rng.normal(size=31)
+        assert np.array_equal(spd_solve(A, np.full(31, 0.1), rhs, x0, forcing=True),
+                              spd_solve(A, np.full(31, 0.1), rhs, x0))
+
+    def test_each_pcg_solve_is_logged(self, caplog, monkeypatch):
+        m, A, rng = stiffness_2d()
+        shift = np.full(m.n_vertices, 1e-3)
+        rhs = rng.normal(size=m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        x0 = spd_solve(A, shift, rhs, np.zeros(m.n_vertices)) + 1e-2
+        with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
+            spd_solve(A, shift, rhs, x0)
+            spd_solve(A, shift, rhs, x0, forcing=True)
+        (n, strict, kind, tol, _), (_, forced, forced_kind, forced_tol, _) = (r.args for r in caplog.records)
+        assert n == m.n_vertices
+        assert (kind, forced_kind) == ("strict", "forced")
+        assert tol == 1e-12 * np.linalg.norm(rhs) < forced_tol
+        assert 0 < forced < strict
 
     @pytest.mark.parametrize("mesh", [("interval", (0, 1), 4), ("acute_triangle", ((0, 1), (0, 1)), (4, 4))],
                              ids=["lu", "pcg"])

@@ -387,16 +387,45 @@ class TestNewtonUpdate:
     def test_all_cells_decoupled(self, monkeypatch):
         # subnormal densities everywhere: D L_g is below roundoff of V in
         # every column although the face weights are not zero
-        monkeypatch.setattr(mixed, "spsolve", lambda *args: pytest.fail("no cell is coupled"))
+        monkeypatch.setattr(mixed, "spsolve", lambda *args, **kw: pytest.fail("no cell is coupled"))
         st = init_mixed_state(self.MESH, self.cap, 3.0, compute_edge_geometry(self.MESH))
         self.check(st, np.full(self.MESH.n_cells, 1e-310))
 
     def test_horseshoe_first_step_iterations(self, monkeypatch):
         solves = []
-        monkeypatch.setattr(mixed, "spsolve", lambda *args: solves.append(1) or spd_solve(*args))
+        monkeypatch.setattr(mixed, "spsolve", lambda *args, **kw: solves.append(1) or spd_solve(*args, **kw))
         run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=1e-3,
                                  counts=(40, 40)))
         assert 0 < len(solves) <= 12
+
+
+class TestInexactNewton:
+    """Each coupled solve stops at the forcing term min(1e-4, ||r||) ||r||
+    of the Newton residual r."""
+
+    def test_horseshoe_newton_solves(self, monkeypatch):
+        # the benchmark's mixed-horseshoe run: 267 solves with exact solves
+        # and with forcing, at most 5% more is allowed
+        solves = []
+        monkeypatch.setattr(mixed, "spsolve", lambda *args, **kw: solves.append(1) or spd_solve(*args, **kw))
+        run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=0.1, counts=(40, 40)))
+        assert len(solves) <= 280
+
+    def test_fewer_pcg_iterations_than_exact_solves(self, caplog, monkeypatch):
+        def first_step_iterations():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
+                run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=1e-3,
+                                         counts=(40, 40)))
+            return [r.args for r in caplog.records if r.name == "pmefem.assembly"]
+
+        forced = first_step_iterations()
+        monkeypatch.setattr(mixed, "spsolve", lambda *args, **kw: spd_solve(*args))
+        strict = first_step_iterations()
+        assert {kind for _, _, kind, _, _ in strict} == {"strict"}
+        assert "forced" in {kind for _, _, kind, _, _ in forced}
+        assert len(forced) == len(strict)
+        assert sum(k for _, k, _, _, _ in forced) < sum(k for _, k, _, _, _ in strict)
 
 
 class TestLargeSteps:

@@ -103,14 +103,18 @@ def check_logdensity_step(variant, m, cx, cy, radius, dt, mesh=MESH, floor=0.0):
         state = new
 
 
+# the pinned examples stop at the Newton budget when the forcing term of the
+# inexact solves is capped at 1e-2 in place of assembly.FORCING_CAP = 1e-4
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=mixed_exponents, cx=centers, cy=centers, radius=radii, dt=steps)
+@example(m=1.0001, cx=0.0, cy=0.0, radius=0.6, dt=1e-2)
 def test_mixed_step(m, cx, cy, radius, dt):
     check_mixed_step(m, cx, cy, radius, dt)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(m=mixed_exponents, cx=centers, cy=centers, radius=radii, dt=steps)
+@example(m=1.0001, cx=0.0, cy=0.0, radius=0.6, dt=1e-2)
 def test_mixed_step_quad(m, cx, cy, radius, dt):
     check_mixed_step(m, cx, cy, radius, dt, QUAD_MESH)
 
