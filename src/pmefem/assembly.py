@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dptsv, dpttrs
 from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
@@ -33,7 +34,9 @@ class Pattern:
     """Fixed symmetric CSR pattern: ``indptr``/``indices``, the row of every
     entry and the position of every diagonal entry.  It keeps the sub-pattern
     of the last mask it was restricted to, as one entry (a copy of the mask,
-    the kept entry positions and the sub-pattern) that is replaced whole."""
+    the kept entry positions and the sub-pattern) that is replaced whole.
+    Its row width and bands, by which ``spd_solve`` picks a path, are
+    computed once, on first use."""
 
     def __init__(self, indptr, indices, rows, diag):
         self.indptr, self.indices, self.rows, self.diag = indptr, indices, rows, diag
@@ -57,6 +60,22 @@ class Pattern:
         rows = node[self.rows[keep]]
         return keep, Pattern(np.searchsorted(rows, np.arange(node[-1] + 2)), node[self.indices[keep]],
                              rows, np.searchsorted(keep, self.diag[mask]))
+
+    @cached_property
+    def wide(self):
+        """Whether some row holds more than 3 entries, as on 2D meshes."""
+        return bool(np.diff(self.indptr).max() > 3)
+
+    @cached_property
+    def superdiagonal(self):
+        """(rows, positions) of the entries (i, i + 1) when every entry has
+        |i - j| <= 1, as on 1D meshes numbered left to right, else None.  A
+        row missing from ``rows`` has no (i, i + 1) entry.  One node has
+        no band: LAPACK's wrapper takes no empty superdiagonal."""
+        if self.n < 2 or np.any(np.abs(self.indices - self.rows) > 1):
+            return None
+        pos = np.flatnonzero(self.indices == self.rows + 1)
+        return self.rows[pos], pos
 
 
 class GraphOperator(Pattern):
@@ -247,15 +266,19 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
     """Solve (diag(shift) + A) x = rhs with the contract
     ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
     (2D meshes) try Jacobi-PCG from the start point x0, accepted only on
-    its true residual; path graphs (1D) and systems PCG misses go to sparse
-    LU with one step of iterative refinement, which ignores x0 and also
-    accepts the backward-error bound 1e-12 (||rhs|| + ||K||_inf ||x||).
-    The start point changes the iterations, not the contract.
+    its true residual.  Tridiagonal patterns (1D meshes) go to LAPACK's
+    ``dptsv`` on the two bands read from the data.  Other patterns, and
+    systems that PCG misses or ``dptsv`` finds not positive definite, go to
+    sparse LU.  Both direct solves ignore x0, take one step of iterative
+    refinement on their factors and also accept the backward-error bound
+    1e-12 (||rhs|| + ||K||_inf ||x||).  The start point changes the
+    iterations, not the contract.
 
     With ``forcing`` set, a Newton loop whose start residual
     r0 = rhs - K x0 is its Newton residual asks for an inexact solve: PCG
     stops at max(1e-12 ||rhs||, eta ||r0||) with eta = min(FORCING_CAP,
-    ||r0||), so Newton keeps its quadratic rate.  The LU path ignores it.
+    ||r0||), so Newton keeps its quadratic rate.  The direct solves ignore
+    it.
 
     Raises ValueError on a negative shift or an x0 that is not a finite
     vector of the system's size, SolverError on singular systems."""
@@ -270,8 +293,12 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
         raise ValueError(f"start point must be {A.n} finite values")
     K = A.shifted(shift)
     tol = 1e-12 * np.linalg.norm(rhs)
-    if np.diff(K.pattern.indptr).max() > 3:
+    if K.pattern.wide:
         x = _jacobi_pcg(K.tocsr(), K.diagonal(), rhs, tol, x0, forcing)
+        if x is not None:
+            return x
+    elif K.pattern.superdiagonal is not None:
+        x = _tridiagonal_solve(K, rhs, tol)
         if x is not None:
             return x
     K = K.tocsr()
@@ -280,16 +307,53 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular system: {exc}") from exc
+    return _refined(x, lu.solve, K.__matmul__, lambda: sparse_norm(K, np.inf), rhs, tol)
+
+
+def _tridiagonal_solve(K, rhs, tol):
+    """``dptsv`` on the diagonal and superdiagonal of K, which has a
+    tridiagonal pattern, refined on the same factors.  Returns None, logged
+    at DEBUG, when ``dptsv`` finds K not positive definite."""
+    rows, pos = K.pattern.superdiagonal
+    d = K.diagonal()
+    e = np.zeros(K.n - 1)
+    e[rows] = K.data[pos]
+    df, ef, x, info = dptsv(d, e, rhs)
+    if info != 0:
+        log.debug("tridiagonal solve on %d unknowns: dptsv info %d, falling back to LU", K.n, info)
+        return None
+
+    def matvec(v):
+        y = d * v
+        y[:-1] += e * v[1:]
+        y[1:] += e * v[:-1]
+        return y
+
+    def norm_inf():
+        row = np.abs(d)
+        row[:-1] += np.abs(e)
+        row[1:] += np.abs(e)
+        return row.max()
+
+    return _refined(x, lambda b: dpttrs(df, ef, b)[0], matvec, norm_inf, rhs, tol)
+
+
+def _refined(x, solve, matvec, norm_inf, rhs, tol):
+    """A direct solution x of K x = rhs, given ``solve`` on K's factors,
+    the product ``matvec`` with K and ``norm_inf()`` = ||K||_inf: one step
+    of iterative refinement where its residual exceeds tol, then accepted
+    at tol or at the normwise backward-error bound.  Raises SolverError
+    otherwise or on a non-finite x."""
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: non-finite solution")
-    res = K @ x - rhs
+    res = matvec(x) - rhs
     if np.linalg.norm(res) > tol:
-        x = x - lu.solve(res)  # one step of iterative refinement
-        res = np.linalg.norm(K @ x - rhs)
+        x = x - solve(res)  # one step of iterative refinement
+        res = np.linalg.norm(matvec(x) - rhs)
         # at large dt ||K|| ||x|| dwarfs ||rhs||: accept a normwise backward
         # stable solution (Higham, Accuracy and Stability of Numerical
         # Algorithms, 2002, ch. 7)
-        if res > tol and res > 1e-12 * (np.linalg.norm(rhs) + sparse_norm(K, np.inf) * np.linalg.norm(x)):
+        if res > tol and res > 1e-12 * (np.linalg.norm(rhs) + norm_inf() * np.linalg.norm(x)):
             raise SolverError("linear solve did not reach the residual bound")
     return x
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
@@ -403,29 +402,26 @@ def run_convergence(cfg: RunConfig):
     """Refinement study over ``cfg.levels`` levels: counts double per level;
     dt shrinks by 4 per level for the log-density scheme and by 2 for the
     mixed scheme.  Errors are measured at the final time in the problem's
-    inner region and over the run's domain."""
+    inner region and over the run's domain.  The levels run one after
+    another on the calling thread, so a failed level stops the study."""
     cfg = validate_config(cfg)
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution for error studies")
     inner = problem.inner_region
-    for level in range(cfg.levels):  # l2_error's region rule, before any level runs
-        lcfg = _level_config(cfg, level)
+    lcfgs = [_level_config(cfg, level) for level in range(cfg.levels)]
+    for level, lcfg in enumerate(lcfgs):  # l2_error's region rule, before any level runs
         mesh = build_structured_mesh(lcfg.mesh_kind, lcfg.domain, lcfg.counts)
         if not _region_mask(mesh, inner).any():
             raise ConfigError(f"domain {cfg.domain} puts no cell barycenter in the inner region {inner} "
                               f"of problem {cfg.problem!r} at level {level}")
 
-    def one_level(level):
-        lcfg = _level_config(cfg, level)
+    exact = lambda pts: problem.exact(pts, cfg.T)
+    e_inner, e_full = [], []
+    for lcfg in lcfgs:
         state, _ = run_simulation(lcfg)
-        exact = lambda pts: problem.exact(pts, cfg.T)
-        return l2_error(state, exact, inner), l2_error(state, exact, lcfg.domain), lcfg
-
-    with ThreadPoolExecutor(max_workers=min(4, cfg.levels)) as pool:
-        results = list(pool.map(one_level, range(cfg.levels)))
-
-    e_inner, e_full, lcfgs = zip(*results)
+        e_inner.append(l2_error(state, exact, inner))
+        e_full.append(l2_error(state, exact, lcfg.domain))
     o_inner, o_full = convergence_order(e_inner), convergence_order(e_full)
     return [ConvergenceRow(level=lvl, N="x".join(str(c) for c in lcfg.counts), dt=lcfg.dt,
                            error_inner=e_inner[lvl], order_inner=o_inner[lvl],

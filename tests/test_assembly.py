@@ -3,10 +3,12 @@
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse.linalg import splu
 
 from pmefem import assembly
 from pmefem.assembly import (
@@ -21,9 +23,10 @@ from pmefem.assembly import (
     stiffness_edge_based,
     stiffness_vertex_quadrature,
 )
+from pmefem.harness import RunConfig, run_simulation
 from pmefem.logdensity import init_log_state, step_logdensity
 from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
-from pmefem.mixed import init_mixed_state
+from pmefem.mixed import init_mixed_state, step_mixed
 from pmefem.problems import get_problem
 
 
@@ -341,7 +344,7 @@ def graph_matrix(n, pairs, off, diag):
 
 
 def no_lu(*args):
-    raise AssertionError("2D system left the PCG path")
+    raise AssertionError("the solve fell back to sparse LU")
 
 
 def stiffness_2d(seed=5, counts=(8, 8)):
@@ -463,7 +466,7 @@ class TestSpdSolve:
         rhs = np.linspace(-1.0, 1.0, 31)
         x = spd_solve(A, np.full(31, 0.1), rhs, np.zeros(31))
         assert np.linalg.norm(A @ x + 0.1 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
-        # the LU path ignores a start point
+        # the tridiagonal path ignores a start point
         for x0 in (np.random.default_rng(3).normal(size=31), x):
             assert np.array_equal(spd_solve(A, np.full(31, 0.1), rhs, x0), x)
 
@@ -548,6 +551,116 @@ class TestSpdSolve:
         x = spd_solve(A, shift, rhs, np.zeros(m.n_vertices))
         assert len(calls) == 1
         assert np.linalg.norm(A @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def path_stiffness(n, seed=5):
+    """Vertex-quadrature stiffness of an n-cell interval mesh numbered left
+    to right, with a random coefficient."""
+    m = build_structured_mesh("interval", (0, 1), n)
+    rng = np.random.default_rng(seed)
+    return m, stiffness_vertex_quadrature(VertexGraph(m), rng.normal(size=n + 1), 2.0, all_active(m)), rng
+
+
+def counted_lu(monkeypatch):
+    """Record every sparse LU factorization spd_solve makes."""
+    calls = []
+    monkeypatch.setattr(assembly, "splu", lambda K: calls.append(K) or splu(K))
+    return calls
+
+
+class TestTridiagonalSolve:
+    """1D systems are solved by LAPACK dptsv on the two bands of the graph
+    data; LU is the fallback for other patterns and failed factorizations."""
+
+    @pytest.mark.parametrize("scheme, dt", [("logdensity", 0.2), ("mixed", 0.1)])
+    def test_barenblatt_without_lu(self, monkeypatch, scheme, dt):
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        m = build_structured_mesh("interval", (-10, 10), 100)
+        rho0 = get_problem("barenblatt1d", 2.0).rho0
+        if scheme == "logdensity":
+            st = step_logdensity(init_log_state(m, rho0, 2.0), dt, "vertex")
+        else:
+            st = step_mixed(init_mixed_state(m, rho0, 2.0, compute_edge_geometry(m)), dt)
+        assert st.time == dt
+        _, records = run_simulation(RunConfig(scheme=scheme, problem="barenblatt1d", m=2.0, dt=dt, T=1.0))
+        assert len(records) == round(1.0 / dt)
+
+    def test_restricted_path_with_gaps(self, monkeypatch):
+        m, A, rng = path_stiffness(60)
+        mask = np.ones(m.n_vertices, bool)
+        mask[[0, 7, 8, 30, 45, 60]] = False
+        K = A.restrict(mask)
+        rows, _ = K.pattern.superdiagonal
+        assert len(rows) == K.n - 4  # three interior gaps and the end vertex
+        shift = rng.uniform(0.5, 2.0, size=K.n) / m.n_cells
+        rhs = rng.normal(size=K.n)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        x = spd_solve(K, shift, rhs, np.zeros(K.n))
+        assert np.linalg.norm(K @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_permuted_path_goes_to_lu(self, monkeypatch):
+        # an interval mesh read from a file may number its vertices in any order
+        n = 40
+        perm = np.random.default_rng(7).permutation(n)
+        A = graph_matrix(n, np.column_stack([perm[:-1], perm[1:]]), -np.ones(n - 1), np.zeros(n))
+        A.data[A.pattern.diag] = -np.bincount(A.pattern.rows, A.data, n)
+        assert A.pattern.superdiagonal is None and not A.pattern.wide
+        calls = counted_lu(monkeypatch)
+        rhs = np.linspace(-1.0, 2.0, n)
+        x = spd_solve(A, np.full(n, 0.1), rhs, np.zeros(n))
+        assert len(calls) == 1
+        assert np.linalg.norm(A @ x + 0.1 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_indefinite_system_falls_back_to_lu_once(self, monkeypatch, caplog):
+        m, A, rng = path_stiffness(30)
+        A = GraphMatrix(A.pattern, -A.data)  # negative semidefinite plus a small shift
+        calls = counted_lu(monkeypatch)
+        rhs = rng.normal(size=m.n_vertices)
+        with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
+            x = spd_solve(A, np.full(m.n_vertices, 1e-3), rhs, np.zeros(m.n_vertices))
+        assert len(calls) == 1
+        K = A.shifted(1e-3).tocsr()  # nearly singular: the constant mode has eigenvalue 1e-3
+        bound = 1e-12 * (np.linalg.norm(rhs) + np.abs(K).sum(axis=1).max() * np.linalg.norm(x))
+        assert np.linalg.norm(K @ x - rhs) <= bound
+        ((n, info),) = (r.args for r in caplog.records)
+        assert n == m.n_vertices and info == 1  # the first pivot is already negative
+
+    def test_singular_path_raises(self):
+        # the path Laplacian with unit weights: every pivot is exact, the last one 0
+        A = graph_matrix(5, [(i, i + 1) for i in range(4)], -np.ones(4), [1.0, 2.0, 2.0, 2.0, 1.0])
+        with pytest.raises(SolverError, match="singular"):
+            spd_solve(A, np.zeros(5), np.linspace(1.0, 2.0, 5), np.zeros(5))
+
+    def test_large_dt_accepted_by_the_backward_error_bound(self, monkeypatch):
+        m, A, rng = path_stiffness(100, seed=0)
+        A = GraphMatrix(A.pattern, 0.1 * A.data)
+        shift, rhs = lumped_mass(m), np.ones(m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        x = spd_solve(A, shift, rhs, np.zeros(m.n_vertices))
+        K = A.shifted(shift).tocsr()
+        res, norm_b = np.linalg.norm(K @ x - rhs), np.linalg.norm(rhs)
+        K_x = np.abs(K).sum(axis=1).max() * np.linalg.norm(x)
+        assert K_x > 1e5 * norm_b
+        assert 1e-12 * norm_b < res <= 1e-12 * (norm_b + K_x)
+        lu = splu(K.T)
+        ref = lu.solve(rhs)
+        ref -= lu.solve(K @ ref - rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_bands_computed_once_per_sub_pattern(self, monkeypatch):
+        computed, builds, solves = [], [], []
+        bands, sub_pattern, solve = Pattern.superdiagonal.func, Pattern._sub_pattern, assembly._tridiagonal_solve
+        band = cached_property(lambda self: computed.append(self) or bands(self))
+        band.__set_name__(Pattern, "superdiagonal")
+        monkeypatch.setattr(Pattern, "superdiagonal", band)
+        monkeypatch.setattr(Pattern, "_sub_pattern", lambda self, mask: builds.append(1) or sub_pattern(self, mask))
+        monkeypatch.setattr(assembly, "_tridiagonal_solve", lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        m = build_structured_mesh("interval", (-10, 10), 100)
+        st = init_log_state(m, get_problem("barenblatt1d", 2.0).rho0, 2.0)
+        for _ in range(5):
+            st = step_logdensity(st, 0.2, "vertex")
+        assert len(computed) == len(set(map(id, computed))) == len(builds) < len(solves)
 
 
 class TestGraphOperator:

@@ -4,6 +4,7 @@ import io
 import itertools
 import logging
 import math
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
 
@@ -758,6 +759,30 @@ class TestRunConvergence:
         err = capsys.readouterr().err
         assert err.startswith("error: domain (") and "inner region (-5.0, 5.0)" in err
         assert runs == []
+
+    def test_levels_run_in_order_on_the_calling_thread(self, monkeypatch):
+        runs = []
+        run = harness.run_simulation
+        monkeypatch.setattr(harness, "run_simulation",
+                            lambda cfg: runs.append((cfg.counts, threading.get_ident())) or run(cfg))
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2, counts=(20,), levels=3)
+        assert len(run_convergence(cfg)) == 3
+        assert runs == [((c,), threading.get_ident()) for c in (20, 40, 80)]
+
+    def test_failed_level_stops_the_study(self, monkeypatch):
+        started, real_run = [], harness.run_simulation
+
+        def run(cfg):
+            started.append(cfg.counts)
+            if cfg.counts == (40,):
+                raise SolverError("forced at level 1")
+            return real_run(cfg)
+
+        monkeypatch.setattr(harness, "run_simulation", run)
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2, counts=(20,), levels=4)
+        with pytest.raises(SolverError, match="forced"):
+            run_convergence(cfg)
+        assert started == [(20,), (40,)]
 
     def test_domain_overlapping_inner_region_runs(self):
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.1, T=0.2,
