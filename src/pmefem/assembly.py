@@ -35,8 +35,9 @@ class Pattern:
     entry and the position of every diagonal entry.  It keeps the sub-pattern
     of the last mask it was restricted to, as one entry (a copy of the mask,
     the kept entry positions and the sub-pattern) that is replaced whole.
-    Its row width and bands, by which ``spd_solve`` picks a path, are
-    computed once, on first use."""
+    Its row width and bands, by which ``spd_solve`` picks a path, and the
+    CSR skeleton that its matrices multiply with are computed once, on
+    first use."""
 
     def __init__(self, indptr, indices, rows, diag):
         self.indptr, self.indices, self.rows, self.diag = indptr, indices, rows, diag
@@ -54,12 +55,20 @@ class Pattern:
 
     def _sub_pattern(self, mask):
         """(keep, sub) built by masking this pattern, which keeps its rows
-        and columns sorted."""
+        and columns sorted; every node keeps its diagonal entry."""
         keep = np.flatnonzero(mask[self.rows] & mask[self.indices])
         node = np.cumsum(mask) - 1
-        rows = node[self.rows[keep]]
-        return keep, Pattern(np.searchsorted(rows, np.arange(node[-1] + 2)), node[self.indices[keep]],
-                             rows, np.searchsorted(keep, self.diag[mask]))
+        rows, cols = node[self.rows[keep]], node[self.indices[keep]]
+        indptr = np.zeros(node[-1] + 2, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=node[-1] + 1), out=indptr[1:])
+        return keep, Pattern(indptr, cols, rows, np.flatnonzero(rows == cols))
+
+    @cached_property
+    def skeleton(self):
+        """A CSR matrix on this pattern (scipy stores int32 indices where
+        they fit), whose data every product of a :class:`GraphMatrix` on
+        the pattern replaces."""
+        return sparse.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def wide(self):
@@ -113,23 +122,24 @@ class GraphOperator(Pattern):
 
 
 class GraphMatrix:
-    """Values on a fixed symmetric :class:`Pattern`."""
+    """Values on a fixed symmetric :class:`Pattern`.  Products run on the
+    pattern's shared CSR skeleton, which holds the data of the matrix that
+    multiplied last, so matrices on one pattern multiply from one thread at
+    a time; ``tocsr`` gives a matrix of its own."""
 
     def __init__(self, pattern: Pattern, data):
         self.pattern, self.data, self.n = pattern, data, pattern.n
-        self._csr = None
 
     def tocsr(self):
-        if self._csr is None:
-            self._csr = sparse.csr_matrix((self.data, self.pattern.indices, self.pattern.indptr),
-                                          shape=(self.n, self.n))
-        return self._csr
+        return sparse.csr_matrix((self.data, self.pattern.indices, self.pattern.indptr), shape=(self.n, self.n))
 
     def diagonal(self):
         return self.data[self.pattern.diag]
 
     def __matmul__(self, x):
-        return self.tocsr() @ x
+        skeleton = self.pattern.skeleton
+        skeleton.data = self.data
+        return skeleton @ x
 
     def shifted(self, shift):
         """A + diag(shift)."""
@@ -261,8 +271,12 @@ PCG_MAXITER = 500
 #: stops at its budget for m = 1.0001)
 FORCING_CAP = 1e-4
 
+#: an inexact Newton solve stops at no less than this fraction of the Newton
+#: tolerance (at 1e-1 the mixed mass factor on the horseshoe exceeds 1e-12)
+FORCING_FLOOR = 1e-2
 
-def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
+
+def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     """Solve (diag(shift) + A) x = rhs with the contract
     ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
     (2D meshes) try Jacobi-PCG from the start point x0, accepted only on
@@ -274,11 +288,12 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
     1e-12 (||rhs|| + ||K||_inf ||x||).  The start point changes the
     iterations, not the contract.
 
-    With ``forcing`` set, a Newton loop whose start residual
-    r0 = rhs - K x0 is its Newton residual asks for an inexact solve: PCG
-    stops at max(1e-12 ||rhs||, eta ||r0||) with eta = min(FORCING_CAP,
-    ||r0||), so Newton keeps its quadratic rate.  The direct solves ignore
-    it.
+    A Newton loop whose start residual r0 = rhs - K x0 is its Newton
+    residual asks for an inexact solve by passing its Newton tolerance as
+    ``forcing``: PCG stops at max(1e-12 ||rhs||, eta ||r0||,
+    FORCING_FLOOR * forcing) with eta = min(FORCING_CAP, ||r0||), so Newton
+    keeps its quadratic rate and no solve goes far below what the Newton
+    tolerance can see.  The direct solves ignore it.
 
     Raises ValueError on a negative shift or an x0 that is not a finite
     vector of the system's size, SolverError on singular systems."""
@@ -294,7 +309,7 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=False):
     K = A.shifted(shift)
     tol = 1e-12 * np.linalg.norm(rhs)
     if K.pattern.wide:
-        x = _jacobi_pcg(K.tocsr(), K.diagonal(), rhs, tol, x0, forcing)
+        x = _jacobi_pcg(K, K.diagonal(), rhs, tol, x0, forcing)
         if x is not None:
             return x
     elif K.pattern.superdiagonal is not None:
@@ -361,18 +376,18 @@ def _refined(x, solve, matvec, norm_inf, rhs, tol):
 def _jacobi_pcg(K, d, b, tol, x0, forcing):
     """Jacobi-preconditioned CG from x = x0.  Returns x when its true
     residual is at most tol, or the forced tolerance of ``spd_solve`` where
-    ``forcing`` makes that looser, or None when K is not positive definite
-    along a search direction or PCG_MAXITER iterations do not get there.
-    Each solve is logged at DEBUG."""
+    a Newton tolerance ``forcing`` makes that looser, or None when K is not
+    positive definite along a search direction or PCG_MAXITER iterations do
+    not get there.  Each solve is logged at DEBUG."""
     if not np.all(d > 0):
         return None
     inv = 1.0 / d
     x = x0.copy()
-    r = b - K @ x
+    r = b - K @ x if x.any() else b.copy()
     kind = "strict"
-    if forcing:
+    if forcing is not None:
         r0 = np.linalg.norm(r)
-        forced = min(FORCING_CAP, r0) * r0
+        forced = max(min(FORCING_CAP, r0) * r0, FORCING_FLOOR * forcing)
         if forced > tol:
             tol, kind = forced, "forced"
     z = inv * r

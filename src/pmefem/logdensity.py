@@ -184,7 +184,7 @@ def newton_update(system: StepSystem, u, active):
     # the solve is for the next iterate itself: start PCG from the current
     # one, whose residual is the Newton residual, so the solve may be inexact
     K = system.operator(act)
-    x = spd_solve(K, shift, rhs, uz[act], forcing=True)
+    x = spd_solve(K, shift, rhs, uz[act], forcing=system.tolerance(u, active))
     # a vertex lifted by more than one log-unit (every fresh vertex) would
     # come back down by only one per iteration on M exp(u): put it at the
     # exact solution of its own row M e^v + a v = c, with the neighbours at

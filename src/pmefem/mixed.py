@@ -65,13 +65,15 @@ class MixedState:
     """Cell densities rho >= 0 (to solver slack); the potential and the
     face fluxes are functions of them.  ``graph`` is the mesh's
     :class:`CellGraph`, built by :func:`init_mixed_state` and passed on by
-    every step."""
+    every step.  ``rate`` is the last step's (rho - rho_prev)/dt, from which
+    the next step predicts its Newton start; an initial state has none."""
 
     mesh: Mesh
     m: float
     rho: np.ndarray
     graph: CellGraph = field(repr=False)
     time: float = 0.0
+    rate: np.ndarray | None = field(default=None, repr=False)
 
     def potential(self) -> np.ndarray:
         return potential_from_density(self.rho, self.m)
@@ -105,12 +107,12 @@ def _dmu(rho, m):
     return m * np.maximum(rho, 1e-12) ** (m - 2.0)
 
 
-def _newton_update(lap, dmu, vol, r, forcing=False):
+def _newton_update(lap, dmu, vol, r, forcing=None):
     """delta with (V + L D) delta = -r: y = D delta solves (V/D + L) y = -r on the
     cells where D_k L_kk is above roundoff of |K|, the others take (-r - L y) / |K|.
-    The solve starts from 0, so ``forcing`` makes it inexact relative to the
-    coupled part of r (see ``spd_solve``).  Returns delta and the mask of
-    those coupled cells."""
+    The solve starts from 0, so a Newton tolerance ``forcing`` makes it
+    inexact relative to the coupled part of r (see ``spd_solve``).  Returns
+    delta and the mask of those coupled cells."""
     coupled = dmu * lap.diagonal() > 2.0**-52 * vol
     y = np.zeros(len(vol))
     if coupled.any():
@@ -122,18 +124,32 @@ def _newton_update(lap, dmu, vol, r, forcing=False):
 
 
 def step_mixed(state: MixedState, dt) -> MixedState:
-    """Advance one implicit step with at most NEWTON_MAXITER Newton updates.
-    Cell mass balances hold to NEWTON_TOL, floored at the residual's
-    roundoff; the accepted density is scaled by M(rho_prev)/M(rho) to the
-    previous step's mass (the factor is logged at DEBUG).  Uniform states
-    are returned unchanged."""
+    """Advance one implicit step with at most NEWTON_MAXITER Newton updates,
+    started from the prediction max(rho + dt * rate, 0) of the state's rate.
+    A state without a rate, or whose predicted start does not converge
+    (logged at DEBUG), starts from rho.  Cell mass balances hold to
+    NEWTON_TOL, floored at the residual's roundoff; the accepted density is
+    scaled by M(rho_prev)/M(rho) to the previous step's mass (the factor is
+    logged at DEBUG).  Uniform states without a rate are returned
+    unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    dt = float(dt)
+    if state.rate is not None:
+        try:
+            return _newton(state, dt, np.maximum(state.rho + dt * state.rate, 0.0))
+        except SolverError as exc:
+            log.debug("mixed step to t=%g: the predicted start failed (%s), restarting from the previous density",
+                      state.time + dt, exc)
+    return _newton(state, dt, state.rho)
+
+
+def _newton(state: MixedState, dt: float, rho) -> MixedState:
+    """The Newton iteration of :func:`step_mixed` from the start rho."""
     mesh, m, graph = state.mesh, state.m, state.graph
     k1, k2 = graph.k1, graph.k2
     n, vol = mesh.n_cells, mesh.cell_volumes
     rho_prev = state.rho
-    dt = float(dt)
     # roundoff of the residual: max |K| rho_prev plus ||L_g||_inf max mu, with
     # ||L_g||_inf <= 2 dt max(rho_prev) (faces per cell) / min(omega)
     scale = float(np.max(vol * rho_prev, initial=0.0))
@@ -144,7 +160,6 @@ def step_mixed(state: MixedState, dt) -> MixedState:
         f = dt * (rhat * flux)
         return vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
 
-    rho = rho_prev
     rhat_last = res_last = None
     for it in range(assembly.NEWTON_MAXITER + 1):
         flux = graph.flux(potential_from_density(rho, m))
@@ -158,7 +173,8 @@ def step_mixed(state: MixedState, dt) -> MixedState:
             factor = float(vol @ rho_prev) / float(vol @ rho) if rho_prev.any() else 1.0  # empty stays empty
             log.debug("mixed step to t=%g: mass scaling factor f - 1 = %.3e after %d Newton iterations",
                       state.time + dt, factor - 1.0, it)
-            return replace(state, rho=factor * rho, time=state.time + dt)
+            rho = factor * rho
+            return replace(state, rho=rho, time=state.time + dt, rate=(rho - rho_prev) / dt)
         if it == assembly.NEWTON_MAXITER:
             raise SolverError(f"mixed Newton did not converge in {it} iterations: "
                               f"residual {res:.3e} on {coupled.sum()} coupled cells")
@@ -166,7 +182,7 @@ def step_mixed(state: MixedState, dt) -> MixedState:
         # Newton step with frozen upwind directions
         g = dt * rhat / graph.omega
         delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
-                                        _dmu(rho, m), vol, r, forcing=True)
+                                        _dmu(rho, m), vol, r, forcing=tol)
         if not np.all(np.isfinite(delta)):
             raise SolverError("mixed Newton produced a non-finite update")
         if not settled and res >= res_last:

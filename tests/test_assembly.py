@@ -7,6 +7,9 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 from scipy.integrate import quad
 from scipy.sparse.linalg import splu
 
@@ -478,7 +481,7 @@ class TestSpdSolve:
         K = A.shifted(shift)
         ref = reference_pcg(K.tocsr(), K.diagonal(), rhs, 1e-12 * np.linalg.norm(rhs), x0)
         assert np.array_equal(spd_solve(A, shift, rhs, x0), ref)
-        assert np.array_equal(spd_solve(A, shift, rhs, x0, forcing=False), ref)
+        assert np.array_equal(spd_solve(A, shift, rhs, x0, forcing=None), ref)
 
     @pytest.mark.parametrize("offset", [1e-1, 1e-4, 1e-7])
     def test_forcing_bound_with_fewer_products(self, monkeypatch, offset):
@@ -496,17 +499,51 @@ class TestSpdSolve:
         strict = spd_solve(A, shift, rhs, x0)
         strict_products = len(products)
         products.clear()
-        x = spd_solve(A, shift, rhs, x0, forcing=True)
+        # a Newton tolerance whose floor lies below the strict bound
+        x = spd_solve(A, shift, rhs, x0, forcing=1e-12 * np.linalg.norm(rhs))
         assert np.linalg.norm(rhs - K @ x) <= bound
         assert len(products) < strict_products
         assert not np.array_equal(x, strict)
+
+    @pytest.mark.parametrize("ratio", [1.0, 3.0, 10.0])
+    def test_floor_at_the_newton_tolerance(self, monkeypatch, ratio):
+        # ||r0|| = ratio * tol: the floor FORCING_FLOOR * tol binds, so PCG
+        # stops sooner than at the forcing term alone
+        m, A, rng = stiffness_2d()
+        shift = rng.uniform(0.5, 2.0, size=m.n_vertices) / m.n_vertices
+        rhs = rng.normal(size=m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        K = A.shifted(shift).tocsr()
+        x0 = np.linalg.solve(K.toarray(), rhs) + 1e-6 * rng.normal(size=m.n_vertices)
+        r0 = np.linalg.norm(rhs - K @ x0)
+        tol = r0 / ratio
+        forced = max(1e-12 * np.linalg.norm(rhs), min(assembly.FORCING_CAP, r0) * r0)
+        assert assembly.FORCING_FLOOR * tol > forced
+        products = counted_pcg(monkeypatch)
+        spd_solve(A, shift, rhs, x0, forcing=0.0)  # the forcing term alone
+        unfloored = len(products)
+        products.clear()
+        x = spd_solve(A, shift, rhs, x0, forcing=tol)
+        assert np.linalg.norm(rhs - K @ x) <= max(forced, assembly.FORCING_FLOOR * tol)
+        assert len(products) < unfloored
+
+    def test_zero_start_takes_no_product(self, monkeypatch):
+        m, A, rng = stiffness_2d()
+        shift = np.full(m.n_vertices, 1e-3)
+        rhs = rng.normal(size=m.n_vertices)
+        products = counted_pcg(monkeypatch)
+        spd_solve(A, shift, rhs, np.zeros(m.n_vertices))
+        cold = len(products)
+        products.clear()
+        spd_solve(A, shift, rhs, np.full(m.n_vertices, 1e-300))  # a nonzero start forms b - K x0
+        assert len(products) == cold + 1
 
     def test_forcing_leaves_path_graphs_alone(self):
         m = build_structured_mesh("interval", (0, 1), 30)
         A = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(31), 2.0, all_active(m))
         rng = np.random.default_rng(4)
         rhs, x0 = rng.normal(size=31), rng.normal(size=31)
-        assert np.array_equal(spd_solve(A, np.full(31, 0.1), rhs, x0, forcing=True),
+        assert np.array_equal(spd_solve(A, np.full(31, 0.1), rhs, x0, forcing=1e-11),
                               spd_solve(A, np.full(31, 0.1), rhs, x0))
 
     def test_each_pcg_solve_is_logged(self, caplog, monkeypatch):
@@ -517,7 +554,7 @@ class TestSpdSolve:
         x0 = spd_solve(A, shift, rhs, np.zeros(m.n_vertices)) + 1e-2
         with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
             spd_solve(A, shift, rhs, x0)
-            spd_solve(A, shift, rhs, x0, forcing=True)
+            spd_solve(A, shift, rhs, x0, forcing=1e-12 * np.linalg.norm(rhs))
         (n, strict, kind, tol, _), (_, forced, forced_kind, forced_tol, _) = (r.args for r in caplog.records)
         assert n == m.n_vertices
         assert (kind, forced_kind) == ("strict", "forced")
@@ -805,3 +842,47 @@ class TestRestrictCache:
             st = step_logdensity(st, 1e-3, "vertex")
         changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(masks, masks[1:]))
         assert len(builds) == changes < len(masks)
+
+
+SKELETON_MESH = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (6, 6))
+
+
+class TestCsrSkeleton:
+    """Products run on one CSR skeleton per pattern; ``tocsr`` stays an
+    independent matrix."""
+
+    def test_one_csr_per_sub_pattern(self, monkeypatch):
+        # the benchmark's mixed-horseshoe run: the only CSR matrices are the
+        # skeletons of the cell graph and of its sub-patterns
+        builds, csrs = [], []
+        sub_pattern, init = Pattern._sub_pattern, sparse.csr_matrix.__init__
+        monkeypatch.setattr(Pattern, "_sub_pattern", lambda self, mask: builds.append(1) or sub_pattern(self, mask))
+        monkeypatch.setattr(sparse.csr_matrix, "__init__", lambda self, *a, **kw: csrs.append(1) or init(self, *a, **kw))
+        run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=0.1, counts=(40, 40)))
+        assert 0 < len(csrs) <= len(builds) + 1
+
+    def test_interleaved_products_on_one_pattern(self):
+        m, A, rng = stiffness_2d()
+        B = GraphMatrix(A.pattern, rng.normal(size=A.data.size))
+        x = rng.normal(size=A.n)
+        for M in (A, B, A, A, B):
+            assert (M @ x).tobytes() == (M.tocsr() @ x).tobytes()
+        assert A.tocsr() is not A.tocsr()  # a matrix of its own for each caller
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(mask=st.lists(st.booleans(), min_size=SKELETON_MESH.n_vertices, max_size=SKELETON_MESH.n_vertices))
+    @example(mask=[True] + [False] * (SKELETON_MESH.n_vertices - 1))  # one isolated node
+    @example(mask=[i < 10 or i % 5 == 0 for i in range(SKELETON_MESH.n_vertices)])  # 7 isolated of 19
+    def test_sub_pattern_matches_scipy_masking(self, mask):
+        mask = np.array(mask)
+        assume(mask.any())
+        graph = VertexGraph(SKELETON_MESH)
+        A = GraphMatrix(graph, np.arange(1.0, graph.nnz + 1.0))  # no stored zero: scipy keeps every entry
+        keep, sub = graph._sub_pattern(mask)
+        ref = A.tocsr()[mask][:, mask]
+        ref.sort_indices()
+        ref_rows = np.repeat(np.arange(ref.shape[0]), np.diff(ref.indptr))
+        assert np.array_equal(sub.indptr, ref.indptr)
+        assert np.array_equal(sub.indices, ref.indices)
+        assert np.array_equal(sub.diag, np.flatnonzero(ref.indices == ref_rows))
+        assert np.array_equal(A.data[keep], ref.data)
