@@ -306,14 +306,14 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (A.n,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"start point must be {A.n} finite values")
-    K = A.shifted(shift)
     tol = 1e-12 * np.linalg.norm(rhs)
-    if K.pattern.wide:
-        x = _jacobi_pcg(K, K.diagonal(), rhs, tol, x0, forcing)
+    if not A.pattern.wide and A.pattern.superdiagonal is not None:
+        x = _tridiagonal_solve(A, A.diagonal() + shift, rhs, tol)
         if x is not None:
             return x
-    elif K.pattern.superdiagonal is not None:
-        x = _tridiagonal_solve(K, rhs, tol)
+    K = A.shifted(shift)
+    if K.pattern.wide:
+        x = _jacobi_pcg(K, K.diagonal(), rhs, tol, x0, forcing)
         if x is not None:
             return x
     K = K.tocsr()
@@ -325,17 +325,16 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     return _refined(x, lu.solve, K.__matmul__, lambda: sparse_norm(K, np.inf), rhs, tol)
 
 
-def _tridiagonal_solve(K, rhs, tol):
-    """``dptsv`` on the diagonal and superdiagonal of K, which has a
-    tridiagonal pattern, refined on the same factors.  Returns None, logged
-    at DEBUG, when ``dptsv`` finds K not positive definite."""
-    rows, pos = K.pattern.superdiagonal
-    d = K.diagonal()
-    e = np.zeros(K.n - 1)
-    e[rows] = K.data[pos]
+def _tridiagonal_solve(A, d, rhs, tol):
+    """``dptsv`` on K, which is A, of a tridiagonal pattern, with the
+    diagonal d, refined on the same factors.  Returns None, logged at
+    DEBUG, when ``dptsv`` finds K not positive definite."""
+    rows, pos = A.pattern.superdiagonal
+    e = np.zeros(A.n - 1)
+    e[rows] = A.data[pos]
     df, ef, x, info = dptsv(d, e, rhs)
     if info != 0:
-        log.debug("tridiagonal solve on %d unknowns: dptsv info %d, falling back to LU", K.n, info)
+        log.debug("tridiagonal solve on %d unknowns: dptsv info %d, falling back to LU", A.n, info)
         return None
 
     def matvec(v):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,6 +52,12 @@ LINE_SEARCH_HALVINGS = 50
 
 #: Newton steps of ``row_solution``: enough for roundoff at every L in float range
 ROW_NEWTON_STEPS = 6
+
+#: ``newton_update`` puts a vertex lifted by more than this at its own row's root
+ROW_LIFT = 0.1
+
+#: relative roundoff of the residual and of the step functional
+ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -111,41 +118,63 @@ class StepSystem:
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev
         self.S = float(np.max(self.b, initial=0.0))
-        self._last = None
+        self._last = self._record = None
+        self.halvings = self.corrected = 0  # over the step: line-search halvings, row-corrected vertices
 
     def operator(self, mask):
         """dt A on the subgraph of the masked vertices: every edge with an end
         outside the mask is dropped, so each row sums to zero and the
         operator moves no mass.  Built only when the mask differs from the
-        previous call's."""
+        previous call's; a read-only mask, as the record's are, is kept
+        without a copy."""
         last = self._last
-        if last is None or not np.array_equal(last[0], mask):
+        if last is None or last[0] is not mask and not np.array_equal(last[0], mask):
             g = self.graph
             w = np.where(mask[g.ei] & mask[g.ej], self.weights, 0.0)
-            last = self._last = (mask.copy(), g.laplacian(w).restrict(mask))
+            last = self._last = (mask if not mask.flags.writeable else mask.copy(), g.laplacian(w).restrict(mask))
         return last[1]
+
+    def record(self, u, active):
+        """The record of the last iterate (u, active) asked for, keyed on the
+        identity of both arrays, which it makes read-only: ``dens``, ``act``
+        (``active`` itself while stable), ``tol`` and, once needed by
+        ``residual`` or ``functional``, ``Ku = K u[active]`` and their ``f``."""
+        rec = self._record
+        if rec is None or rec.u is not u or rec.active is not active:
+            u.flags.writeable = active.flags.writeable = False
+            dens = np.where(active, np.exp(u), 0.0)
+            act = (self.M * dens + self.diag) > CUTOFF * self.S
+            tol = max(NEWTON_RTOL * self.S, ROUNDOFF * (self.S + self.norm * np.max(np.abs(u[active]), initial=0.0)))
+            rec = self._record = SimpleNamespace(u=u, active=active, dens=dens, tol=tol, f=None,
+                                                 act=active if np.array_equal(act, active) else act)
+            dens.flags.writeable = act.flags.writeable = False
+        return rec
+
+    def _evaluated(self, u, active):
+        rec = self.record(u, active)
+        if rec.f is None:
+            ua = u[active]
+            rec.Ku = self.operator(active) @ ua
+            rec.f = float(self.M[active] @ rec.dens[active] - ua @ self.b[active] + 0.5 * (ua @ rec.Ku))
+        return rec
 
     def activation_mask(self, u, active):
         """Per-iteration cutoff test on the Newton system diagonal."""
-        dens = np.where(active, np.exp(u), 0.0)
-        return (self.M * dens + self.diag) > CUTOFF * self.S
+        return self.record(u, active).act
 
     def tolerance(self, u, active):
         """NEWTON_RTOL * S, floored at the roundoff of the residual."""
-        u_max = np.max(np.abs(u[active]), initial=0.0)
-        return max(NEWTON_RTOL * self.S, 64 * np.finfo(float).eps * (self.S + self.norm * u_max))
+        return self.record(u, active).tol
 
     def residual(self, u, active):
         """Nonlinear residual restricted to the active set (u must carry
         values on every active vertex)."""
-        ua = u[active]
-        return self.M[active] * (np.exp(ua) - self.exp_prev[active]) + self.operator(active) @ ua
+        rec = self._evaluated(u, active)
+        return self.M[active] * (rec.dens[active] - self.exp_prev[active]) + rec.Ku
 
     def functional(self, u, active):
         """Convex step functional whose stationary point is the step solution."""
-        ua = u[active]
-        return float(self.M[active] @ np.exp(ua) - ua @ self.b[active]
-                     + 0.5 * (ua @ (self.operator(active) @ ua)))
+        return self._evaluated(u, active).f
 
 
 def row_solution(M, a, c):
@@ -166,52 +195,55 @@ def row_solution(M, a, c):
 
 
 def newton_update(system: StepSystem, u, active):
-    """One Newton iteration with activation bookkeeping, a row predictor for
-    the vertices the linear solve lifts by more than one log-unit, and a
-    backtracking line search on the step functional.  Returns
-    (u_next, active_next)."""
+    """One Newton iteration with activation bookkeeping, a row correction for
+    the vertices the linear solve lifts by more than ROW_LIFT, and a
+    backtracking line search on the step functional, which records the
+    iterate it returns.  Returns (u_next, active_next)."""
     u = np.asarray(u, dtype=float)
     active = np.asarray(active, dtype=bool)
-    act = system.activation_mask(u, active)
+    rec = system.record(u, active)
+    act, dens = rec.act, rec.dens
     if not act.any():
         raise SolverError("all degrees of freedom inactive")
     fresh = act & ~active
 
-    dens = np.where(active, np.exp(u), 0.0)
     uz = np.where(active, u, 0.0)
     shift = (system.M * dens)[act]
     rhs = (system.M * (dens * uz - dens + system.exp_prev))[act]
     # the solve is for the next iterate itself: start PCG from the current
     # one, whose residual is the Newton residual, so the solve may be inexact
     K = system.operator(act)
-    x = spd_solve(K, shift, rhs, uz[act], forcing=system.tolerance(u, active))
-    # a vertex lifted by more than one log-unit (every fresh vertex) would
-    # come back down by only one per iteration on M exp(u): put it at the
-    # exact solution of its own row M e^v + a v = c, with the neighbours at
-    # x and c = b_i - sum_{j != i} K_ij x_j, where that lies lower
+    x = spd_solve(K, shift, rhs, uz[act], forcing=rec.tol)
+    # row i of the solve is the tangent at u_i of the convex, increasing
+    # M_i e^v + a_i v - c_i (a_i = K_ii, c_i = b_i - sum_{j != i} K_ij x_j), so
+    # its root lies at or below x_i: a vertex lifted more than ROW_LIFT (every
+    # fresh one) goes there, not down by at most one unit per iteration
     a = K.diagonal()
-    up = (x - np.where(active, u, -np.inf)[act] > 1.0) & (a > 0)  # the closed form needs a > 0
+    up = (x - np.where(active, u, -np.inf)[act] > ROW_LIFT) & (a > 0)  # the closed form needs a > 0
     if up.any():
         idx = np.flatnonzero(act)[up]
         c = system.b[idx] - (K @ x - a * x)[up]
         x[up] = np.minimum(x[up], row_solution(system.M[idx], a[up], c))
+        system.corrected += int(up.sum())
 
-    u_full = np.full_like(u, LOG_FLOOR)
-    u_full[act] = x
     if fresh.any():
         # freshly activated vertices have no previous value: the functional at
         # the incoming iterate is +inf there, so the full step always decreases
+        u_full = np.full_like(u, LOG_FLOOR)
+        u_full[act] = x
         return u_full, act
 
     f0 = system.functional(u, act)
+    ua = u[act]
     # the functional's roundoff grows with ||dt A||_inf |u|^2 at large dt
-    slack = max(1e-12 * max(1.0, abs(f0)), 64 * np.finfo(float).eps * system.norm * float(u[act] @ u[act]))
-    step = u_full[act] - u[act]
+    slack = max(1e-12 * max(1.0, abs(f0)), ROUNDOFF * system.norm * float(ua @ ua))
+    step = x - ua
     lam = 1.0
-    for _ in range(LINE_SEARCH_HALVINGS):
+    for k in range(LINE_SEARCH_HALVINGS):
         cand = np.full_like(u, LOG_FLOOR)
-        cand[act] = u[act] + lam * step
+        cand[act] = ua + lam * step
         if system.functional(cand, act) <= f0 + slack:
+            system.halvings += k
             return cand, act
         lam *= 0.5
     raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
@@ -220,20 +252,21 @@ def newton_update(system: StepSystem, u, active):
 def step_logdensity(state: LogDensityState, dt, variant: str = "vertex") -> LogDensityState:
     """Advance one implicit step with at most NEWTON_MAXITER Newton iterations.
     The step is accepted once the active set is stable and the residual is
-    within the tolerance; then u is shifted on the active set by the
-    constant c that makes the lumped mass equal the previous step's (logged
-    at DEBUG; it is of the size of the tolerance)."""
+    within the tolerance; then u is shifted on the active set by the constant
+    c, of the size of the tolerance, that makes the lumped mass equal the
+    previous step's (logged at DEBUG with the step's Newton iterations,
+    line-search halvings and row-corrected vertices)."""
     system = StepSystem(state, dt, variant)
     u, active = state.u.copy(), state.active.copy()
     for k in range(assembly.NEWTON_MAXITER + 1):
-        if (np.array_equal(system.activation_mask(u, active), active)
+        if (system.activation_mask(u, active) is active  # the record's mask while the set is stable
                 and np.max(np.abs(system.residual(u, active)), initial=0.0) <= system.tolerance(u, active)):
-            mass = float(np.sum(system.M * np.where(active, np.exp(u), 0.0)))
+            mass = float(np.sum(system.M * system.record(u, active).dens))
             c = float(np.log(np.sum(system.b) / mass)) if mass else 0.0  # an empty state stays empty
-            u[active] += c
-            log.debug("log-density step to t=%g: mass correction c=%.3e after %d Newton iterations",
-                      state.time + float(dt), c, k)
-            return replace(state, u=u, active=active, time=state.time + float(dt))
+            log.debug("log-density step to t=%g: mass correction c=%.3e after %d Newton iterations, "
+                      "%d line-search halvings, %d row-corrected vertices",
+                      state.time + float(dt), c, k, system.halvings, system.corrected)
+            return replace(state, u=np.where(active, u + c, u), active=active, time=state.time + float(dt))
         if k < assembly.NEWTON_MAXITER:
             u, active = newton_update(system, u, active)
     res = np.max(np.abs(system.residual(u, active)), initial=0.0)
