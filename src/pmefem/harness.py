@@ -3,7 +3,6 @@ studies, and CSV/VTK output."""
 
 from __future__ import annotations
 
-import logging
 import math
 import os
 from dataclasses import astuple, dataclass, fields, replace
@@ -28,8 +27,6 @@ from .problems import COMPACTLY_SUPPORTED, PROBLEM_NAMES, ProblemSpec, get_probl
 
 SCHEMES = ("logdensity", "mixed")
 
-log = logging.getLogger(__name__)
-
 
 class ConfigError(ValueError):
     """Bad run configuration."""
@@ -46,7 +43,6 @@ class RunConfig:
     counts: tuple = ()
     domain: tuple = ()
     variant: str = "vertex"          # log-density stiffness variant
-    cfl_autohalve: bool = False      # mixed only
     s0: Optional[float] = None
     theta: float = 0.0
     levels: int = 4
@@ -79,9 +75,6 @@ class ConvergenceRow:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
-_BOOL = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
 def _parse_counts(text):
     parts = text.lower().replace("x", " ").split()
     return tuple(int(p) for p in parts)
@@ -106,7 +99,6 @@ _KEY_PARSERS = {
     "n": _parse_counts,
     "domain": _parse_domain,
     "variant": str,
-    "cfl_autohalve": lambda s: _BOOL[s.lower()],
     "s0": float,
     "theta": float,
     "levels": int,
@@ -153,8 +145,6 @@ def config_from_strings(raw: dict) -> RunConfig:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     if values["scheme"] == "mixed" and "variant" in values:
         raise ConfigError("'variant' applies to the log-density scheme only")
-    if values["scheme"] == "logdensity" and "cfl_autohalve" in values:
-        raise ConfigError("'cfl_autohalve' applies to the mixed scheme only")
     if "s0" in values and not values["problem"].startswith("barenblatt"):
         raise ConfigError("'s0' applies to the Barenblatt problems only")
     if "theta" in values and values["problem"] != "waiting":
@@ -317,15 +307,17 @@ def tracked_index(problem: ProblemSpec, mesh: Mesh, scheme: str):
     return int(candidates[np.argmax(bary[candidates])])
 
 
-def _record(cfg, state, step, tracked, cfl_bound=None):
-    """One time-series record; a mixed state takes the CFL bound its step
-    computed."""
+def _record(cfg, state, step, tracked):
+    """One time-series record; a mixed state adds the paper's post hoc CFL
+    bound of its step, a diagnostic."""
+    cfl_bound = None
     if cfg.scheme == "logdensity":
         energy, (lo, hi) = ld.entropy_energy(state), ld.bounds(state)
         density = state.density
     else:
         energy, lo, hi = mx.physical_energy(state), float(state.rho.min()), float(state.rho.max())
         density = lambda: state.rho
+        cfl_bound = mx.cfl_max_dt(state)[1]
     return TimeSeriesRecord(
         step=step,
         time=state.time,
@@ -355,38 +347,18 @@ def run_simulation(cfg: RunConfig):
 
     records = []
     eps = 1e-12 * max(cfg.T, 1.0)
-    bound = None
     while cfg.T - state.time > eps:
         dt = min(cfg.dt, cfg.T - state.time)
         try:
             if cfg.scheme == "logdensity":
                 state = ld.step_logdensity(state, dt, cfg.variant)
             else:
-                state, bound = _mixed_step_with_cfl(state, dt, cfg.cfl_autohalve)
+                state = mx.step_mixed(state, dt)
         except Exception as exc:
             kind = type(exc) if isinstance(exc, (SolverError, MeshError)) else RuntimeError
             raise kind(f"step {len(records) + 1} (t={state.time + dt:g}) failed: {exc}") from exc
-        records.append(_record(cfg, state, len(records) + 1, tracked, bound))
+        records.append(_record(cfg, state, len(records) + 1, tracked))
     return state, records
-
-
-def _mixed_step_with_cfl(state, dt, autohalve):
-    """Take a mixed step and check dt against the post hoc CFL bound from the
-    new flux; returns the new state and that bound.  A violation is logged
-    as a warning; with autohalve the step is redone at dt/2 instead, and
-    SolverError is raised when 20 halvings do not meet the bound."""
-    new = mx.step_mixed(state, dt)
-    halvings = 0
-    while dt > (bound := mx.cfl_max_dt(new)[1]):
-        if not autohalve:
-            log.warning("mixed step at t=%g: dt=%g exceeds the post hoc CFL bound %g; "
-                        "positivity is not guaranteed", state.time + dt, dt, bound)
-            break
-        if halvings == 20:
-            raise SolverError(f"CFL bound {bound:.3e} still below dt={dt:.3e} after 20 halvings")
-        dt, halvings = 0.5 * dt, halvings + 1
-        new = mx.step_mixed(state, dt)
-    return new, bound
 
 
 # ---------------------------------------------------------------------------

@@ -62,11 +62,11 @@ class CellGraph(GraphOperator):
 
 @dataclass(frozen=True)
 class MixedState:
-    """Cell densities rho >= 0 (to solver slack); the potential and the
-    face fluxes are functions of them.  ``graph`` is the mesh's
-    :class:`CellGraph`, built by :func:`init_mixed_state` and passed on by
-    every step.  ``rate`` is the last step's (rho - rho_prev)/dt, from which
-    the next step predicts its Newton start; an initial state has none."""
+    """Cell densities rho >= 0; the potential and the face fluxes are
+    functions of them.  ``graph`` is the mesh's :class:`CellGraph`, built by
+    :func:`init_mixed_state` and passed on by every step.  ``rate`` is the
+    last step's (rho - rho_prev)/dt, from which the next step predicts its
+    Newton start; an initial state has none."""
 
     mesh: Mesh
     m: float
@@ -129,9 +129,9 @@ def step_mixed(state: MixedState, dt) -> MixedState:
     A state without a rate, or whose predicted start does not converge
     (logged at DEBUG), starts from rho.  Cell mass balances hold to
     NEWTON_TOL, floored at the residual's roundoff; the accepted density is
-    scaled by M(rho_prev)/M(rho) to the previous step's mass (the factor is
-    logged at DEBUG).  Uniform states without a rate are returned
-    unchanged."""
+    clipped at 0, within that tolerance, and scaled by M(rho_prev)/M(rho) to
+    the previous step's mass (the factor is logged at DEBUG).  Uniform
+    states without a rate are returned unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt = float(dt)
@@ -170,6 +170,7 @@ def _newton(state: MixedState, dt: float, rho) -> MixedState:
         mu_max = potential_from_density(rho.max(), m)
         tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * (scale + lap_norm * mu_max))
         if res <= tol and (settled or np.max(np.abs(balance(rho, flux, rhat_last))) <= tol):
+            rho = np.maximum(rho, 0.0)  # slack: a cell below 0 has only inflow, so |K| rho_K >= -tol
             factor = float(vol @ rho_prev) / float(vol @ rho) if rho_prev.any() else 1.0  # empty stays empty
             log.debug("mixed step to t=%g: mass scaling factor f - 1 = %.3e after %d Newton iterations",
                       state.time + dt, factor - 1.0, it)
@@ -192,9 +193,9 @@ def _newton(state: MixedState, dt: float, rho) -> MixedState:
 
 
 def cfl_max_dt(state: MixedState):
-    """Largest positivity-preserving step per cell, |K| over the sum of the
-    fluxes out of K, and its global minimum.  Cells without outflow report
-    +inf."""
+    """The paper's CFL bound per cell, |K| over the sum of the fluxes out of
+    K, and its global minimum.  Cells without outflow report +inf.  A
+    diagnostic: accepted steps are >= 0 at any dt (see :func:`step_mixed`)."""
     mesh, graph = state.mesh, state.graph
     flux = graph.flux(state.potential())
     outflow = (np.bincount(graph.k1, np.maximum(flux, 0.0), mesh.n_cells)

@@ -31,7 +31,6 @@ from pmefem.harness import (
     ConvergenceRow,
     _QUADRATURE,
     _VTK_CELL_TYPES,
-    _mixed_step_with_cfl,
 )
 from pmefem.mesh import (
     DELAUNAY_TOL,
@@ -119,11 +118,17 @@ class TestParseConfig:
                                      mesh_kind=kind, variant="edge"))
         parse_config(write_cfg(tmp_path, text + "variant = vertex\n"))
 
-    def test_autohalve_is_mixed_only(self, tmp_path):
-        with pytest.raises(ConfigError):
-            parse_config(write_cfg(tmp_path, MINIMAL + "cfl_autohalve = true\n"))
-        with pytest.raises(ConfigError, match="mixed scheme only"):
-            parse_config(write_cfg(tmp_path, MINIMAL), {"cfl_autohalve": "false"})
+    def test_autohalve_is_unknown(self, tmp_path, capsys):
+        # mixed steps are nonnegative at any dt, so no step is halved to the CFL bound
+        message = "unknown config key 'cfl_autohalve'"
+        for scheme in ("logdensity", "mixed"):
+            cfg = write_cfg(tmp_path, minimal(scheme=scheme, cfl_autohalve="true"))
+            with pytest.raises(ConfigError, match=message):
+                parse_config(cfg)
+            with pytest.raises(ConfigError, match=message):
+                parse_config(write_cfg(tmp_path, minimal(scheme=scheme), "plain.cfg"), {"cfl_autohalve": "false"})
+            assert cli.main(["simulate", str(cfg)]) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("scheme,iterations", [("logdensity", 2), ("mixed", 2)])
     def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, monkeypatch, scheme, iterations):
@@ -197,7 +202,7 @@ class TestParseConfig:
     @pytest.mark.parametrize("line,message", [
         ("m = abc", "bad value for 'm': 'abc'"),
         ("n = 3.5", "bad value for 'n': '3.5'"),
-        ("cfl_autohalve = maybe", "bad value for 'cfl_autohalve'"),
+        ("cfl_autohalve = maybe", "unknown config key 'cfl_autohalve'"),
         ("n 40", "run.cfg:8: expected 'key = value'"),
         ("domain = 0 1 2", "bad value for 'domain': '0 1 2'"),
         ("scheme = warp", "unknown scheme 'warp'"),
@@ -404,11 +409,14 @@ class TestRunSimulation:
         assert [r.step for r in records] == [1, 2, 3, 4, 5]  # the shortened final step too
         assert records[-1].time == pytest.approx(0.45)
 
-    def test_cfl_autohalve_runs(self):
+    def test_mixed_over_the_cfl_bound_runs(self):
+        # every step is above the paper's CFL bound, and none is halved
         cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0,
-                        dt=0.1, T=0.3, counts=(50,), cfl_autohalve=True)
+                        dt=0.5, T=1.5, counts=(50,))
         _, records = run_simulation(cfg)
-        assert records[-1].time == pytest.approx(0.3)
+        assert [r.time for r in records] == pytest.approx([0.5, 1.0, 1.5])
+        assert all(r.cfl_bound < cfg.dt for r in records)
+        assert all(r.min_density >= 0.0 for r in records)
 
     def test_graph_built_once_per_mesh(self, monkeypatch):
         built = []
@@ -483,29 +491,14 @@ class TestRunSimulation:
 
 
 class TestCflGuard:
-    def barenblatt_state(self):
-        mesh = build_structured_mesh("interval", (-10, 10), 50)
-        return init_mixed_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0, compute_edge_geometry(mesh))
-
-    def test_violation_without_autohalve_is_logged(self, caplog):
-        st = self.barenblatt_state()
-        with caplog.at_level(logging.WARNING, logger="pmefem.harness"):
-            _mixed_step_with_cfl(st, 1e-3, autohalve=False)
-            assert not caplog.records
-            new, bound = _mixed_step_with_cfl(st, 0.5, autohalve=False)
-        assert bound == mx.cfl_max_dt(new)[1] < 0.5
-        assert len(caplog.records) == 1
-        assert "exceeds the post hoc CFL bound" in caplog.text
-
-    def test_exhausted_halvings_raise(self, monkeypatch):
-        st = self.barenblatt_state()
-        steps = []
-        step = mx.step_mixed
-        monkeypatch.setattr(mx, "step_mixed", lambda *args: steps.append(args[1]) or step(*args))
-        monkeypatch.setattr(mx, "cfl_max_dt", lambda state: (None, 1e-30))
-        with pytest.raises(SolverError, match="20 halvings"):
-            _mixed_step_with_cfl(st, 0.01, autohalve=True)
-        assert steps == [0.01 / 2**k for k in range(21)]
+    def test_violation_is_recorded_not_warned(self, caplog):
+        # the bound is a diagnostic column: a step over it is not redone or warned about
+        cfg = RunConfig(scheme="mixed", problem="barenblatt1d", m=2.0, dt=0.5, T=0.5, counts=(50,))
+        with caplog.at_level(logging.WARNING, logger="pmefem"):
+            final, (record,) = run_simulation(cfg)
+        assert not caplog.records
+        assert record.cfl_bound == mx.cfl_max_dt(final)[1] < 0.5
+        assert record.min_density >= 0.0
 
     def test_bound_computed_once_per_step(self, monkeypatch):
         states = []
