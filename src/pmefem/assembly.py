@@ -29,6 +29,12 @@ class SolverError(RuntimeError):
 #: Newton updates allowed in one step of either scheme
 NEWTON_MAXITER = 50
 
+#: backtracking halvings allowed in one Newton line search of either scheme
+LINE_SEARCH_HALVINGS = 50
+
+#: relative roundoff of a Newton residual and of a step functional
+ROUNDOFF = 64 * np.finfo(float).eps
+
 
 class Pattern:
     """Fixed symmetric CSR pattern: ``indptr``/``indices``, the row of every

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -47,6 +47,7 @@ class RunConfig:
     theta: float = 0.0
     levels: int = 4
     output: str = ""
+    built_mesh: Optional[Mesh] = field(default=None, compare=False, repr=False)  # run_simulation's mesh, if given
 
 
 @dataclass
@@ -338,7 +339,7 @@ def run_simulation(cfg: RunConfig):
     RuntimeError, chained to the original."""
     cfg = validate_config(cfg)
     problem = get_problem(cfg.problem, cfg.m, cfg.s0, cfg.theta)
-    mesh = build_structured_mesh(cfg.mesh_kind, cfg.domain, cfg.counts)
+    mesh = cfg.built_mesh or build_structured_mesh(cfg.mesh_kind, cfg.domain, cfg.counts)
     if cfg.scheme == "logdensity":
         state = ld.init_log_state(mesh, problem.rho0, cfg.m)
     else:
@@ -367,7 +368,8 @@ def run_simulation(cfg: RunConfig):
 def _level_config(cfg: RunConfig, level: int) -> RunConfig:
     counts = tuple(c * 2**level for c in cfg.counts)
     refine = 4.0 if cfg.scheme == "logdensity" else 2.0
-    return replace(cfg, counts=counts, dt=cfg.dt / refine**level, output="")
+    return replace(cfg, counts=counts, dt=cfg.dt / refine**level, output="",
+                   built_mesh=build_structured_mesh(cfg.mesh_kind, cfg.domain, counts))
 
 
 def run_convergence(cfg: RunConfig):
@@ -383,8 +385,7 @@ def run_convergence(cfg: RunConfig):
     inner = problem.inner_region
     lcfgs = [_level_config(cfg, level) for level in range(cfg.levels)]
     for level, lcfg in enumerate(lcfgs):  # l2_error's region rule, before any level runs
-        mesh = build_structured_mesh(lcfg.mesh_kind, lcfg.domain, lcfg.counts)
-        if not _region_mask(mesh, inner).any():
+        if not _region_mask(lcfg.built_mesh, inner).any():
             raise ConfigError(f"domain {cfg.domain} puts no cell barycenter in the inner region {inner} "
                               f"of problem {cfg.problem!r} at level {level}")
 

@@ -26,6 +26,8 @@ import numpy as np
 
 from . import assembly
 from .assembly import (
+    LINE_SEARCH_HALVINGS,
+    ROUNDOFF,
     SolverError,
     VertexGraph,
     spd_solve,
@@ -47,17 +49,11 @@ NEWTON_RTOL = 1e-10
 
 VARIANTS = ("vertex", "edge")
 
-#: backtracking halvings allowed in one Newton line search
-LINE_SEARCH_HALVINGS = 50
-
 #: Newton steps of ``row_solution``: enough for roundoff at every L in float range
 ROW_NEWTON_STEPS = 6
 
 #: ``newton_update`` puts a vertex lifted by more than this at its own row's root
 ROW_LIFT = 0.1
-
-#: relative roundoff of the residual and of the step functional
-ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)

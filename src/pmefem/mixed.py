@@ -8,29 +8,28 @@ system for the cell densities alone:
 
 with the flux F_E = |E| u.n_E = (mu_K1 - mu_K2) / omega_E, omega_E = d_E/|E|,
 mu = m/(m-1) rho^{m-1}, and rhohat the previous density upwinded by the
-sign of F_E.  The sign dependence makes the system semismooth: Newton steps
-are taken with frozen upwind directions.  Their Jacobian V + L D
+sign of F_E.  Its left side is the gradient in mu of the convex, C^1 functional
+
+    J(mu) = sum_K |K| (rho_K^m - rho_K^{n-1} mu_K) + dt/2 sum_E rhohat_E F_E^2 omega_E.
+
+Newton steps are taken with frozen upwind directions.  Their Jacobian V + L D
 (V = diag|K|, L the graph Laplacian of the face weights dt rhat / omega_E,
 D = diag(dmu/drho)) is an SPD matrix times a diagonal, so the shared SPD
-solve gives y = D delta.
-
-An update is halved only while the iteration oscillates: the residual did
-not decrease and the upwind values changed since the previous iterate; full
-steps resume as soon as they repeat.  A step is accepted when the residual
-is within the tolerance under the current upwind values and, if a near-zero
-flux flipped sign on roundoff, under the previous ones too: the state then
-solves the step under either choice.
+solve gives y = D delta, the Newton step of J in mu (V/D + L is J's
+generalized Hessian).  The update of rho is kept when it meets the tolerance
+or lowers J by more than J's roundoff; else y is halved until J does not rise.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import assembly
-from .assembly import GraphOperator, SolverError
+from .assembly import LINE_SEARCH_HALVINGS, ROUNDOFF, GraphOperator, SolverError
 from .assembly import spd_solve as spsolve
 from .mesh import Mesh, MeshError, is_delaunay
 
@@ -100,11 +99,8 @@ def init_mixed_state(mesh: Mesh, rho0, m, omega) -> MixedState:
 
 
 def _dmu(rho, m):
-    """d(mu)/d(rho) = m * rho^{m-2}, clamped for the degenerate origin."""
-    rho = np.maximum(np.asarray(rho, dtype=float), 0.0)
-    if m >= 2.0:
-        return m * rho ** (m - 2.0)
-    return m * np.maximum(rho, 1e-12) ** (m - 2.0)
+    """d(mu)/d(rho) = m rho^{m-2}, at rho clamped at 0, or for m < 2 at 1e-12."""
+    return m * np.maximum(rho, 0.0 if m >= 2.0 else 1e-12) ** (m - 2.0)
 
 
 def _newton_update(lap, dmu, vol, r, forcing=None):
@@ -124,28 +120,17 @@ def _newton_update(lap, dmu, vol, r, forcing=None):
 
 
 def step_mixed(state: MixedState, dt) -> MixedState:
-    """Advance one implicit step with at most NEWTON_MAXITER Newton updates,
-    started from the prediction max(rho + dt * rate, 0) of the state's rate.
-    A state without a rate, or whose predicted start does not converge
-    (logged at DEBUG), starts from rho.  Cell mass balances hold to
-    NEWTON_TOL, floored at the residual's roundoff; the accepted density is
-    clipped at 0, within that tolerance, and scaled by M(rho_prev)/M(rho) to
-    the previous step's mass (the factor is logged at DEBUG).  Uniform
+    """Advance one implicit step with at most NEWTON_MAXITER Newton updates
+    from max(rho + dt * rate, 0), or from rho for a state without a rate;
+    each update lowers J, its step in mu halved at most LINE_SEARCH_HALVINGS
+    times.  Cell mass balances hold to NEWTON_TOL, floored at the residual's
+    roundoff; the accepted density is clipped at 0, within that tolerance,
+    and scaled by M(rho_prev)/M(rho) to the previous step's mass (logged at
+    DEBUG with the Newton iterations, halvings and steps in mu).  Uniform
     states without a rate are returned unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt = float(dt)
-    if state.rate is not None:
-        try:
-            return _newton(state, dt, np.maximum(state.rho + dt * state.rate, 0.0))
-        except SolverError as exc:
-            log.debug("mixed step to t=%g: the predicted start failed (%s), restarting from the previous density",
-                      state.time + dt, exc)
-    return _newton(state, dt, state.rho)
-
-
-def _newton(state: MixedState, dt: float, rho) -> MixedState:
-    """The Newton iteration of :func:`step_mixed` from the start rho."""
     mesh, m, graph = state.mesh, state.m, state.graph
     k1, k2 = graph.k1, graph.k2
     n, vol = mesh.n_cells, mesh.cell_volumes
@@ -156,40 +141,52 @@ def _newton(state: MixedState, dt: float, rho) -> MixedState:
     lap_norm = 2.0 * dt * float(np.max(rho_prev, initial=0.0)) * mesh.cells.shape[1]
     lap_norm /= np.min(graph.omega, initial=np.inf)
 
-    def balance(rho, flux, rhat):
-        f = dt * (rhat * flux)
-        return vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
-
-    rhat_last = res_last = None
-    for it in range(assembly.NEWTON_MAXITER + 1):
-        flux = graph.flux(potential_from_density(rho, m))
+    def iterate(rho):
+        """rho with mu, rhat, r = grad J, its max-norm and tolerance, and J with its roundoff."""
+        mu = potential_from_density(rho, m)
+        flux = graph.flux(mu)
         rhat = np.where(flux >= 0, rho_prev[k1], rho_prev[k2])
-        r = balance(rho, flux, rhat)
-        res = float(np.max(np.abs(r)))
-        settled = rhat_last is None or np.array_equal(rhat, rhat_last)
-        mu_max = potential_from_density(rho.max(), m)
-        tol = max(NEWTON_TOL, 64 * np.finfo(float).eps * (scale + lap_norm * mu_max))
-        if res <= tol and (settled or np.max(np.abs(balance(rho, flux, rhat_last))) <= tol):
-            rho = np.maximum(rho, 0.0)  # slack: a cell below 0 has only inflow, so |K| rho_K >= -tol
+        f = dt * (rhat * flux)
+        r = vol * (rho - rho_prev) + np.bincount(k1, f, n) - np.bincount(k2, f, n)
+        a, b = (1.0 - 1.0 / m) * float(rho @ (vol * mu)), float(rho_prev @ (vol * mu))  # rho^m = (m-1)/m rho mu
+        faces = 0.5 * float((f * flux) @ graph.omega)  # J's face sum is f_E d_E / 2 >= 0, d_E = omega_E flux_E
+        return SimpleNamespace(rho=rho, mu=mu, rhat=rhat, r=r, res=float(np.max(np.abs(r))),
+                               tol=max(NEWTON_TOL, ROUNDOFF * (scale + lap_norm * mu.max())),
+                               J=a - b + faces, slack=ROUNDOFF * (a + b + faces))
+
+    cur = iterate(rho_prev if state.rate is None else np.maximum(rho_prev + dt * state.rate, 0.0))
+    halvings = mu_steps = 0
+    for it in range(assembly.NEWTON_MAXITER + 1):
+        if cur.res <= cur.tol:
+            rho = np.maximum(cur.rho, 0.0)  # slack: a cell below 0 has only inflow, so |K| rho_K >= -tol
             factor = float(vol @ rho_prev) / float(vol @ rho) if rho_prev.any() else 1.0  # empty stays empty
-            log.debug("mixed step to t=%g: mass scaling factor f - 1 = %.3e after %d Newton iterations",
-                      state.time + dt, factor - 1.0, it)
+            log.debug("mixed step to t=%g: mass scaling factor f - 1 = %.3e after %d Newton iterations, %d "
+                      "line-search halvings, %d steps in mu", state.time + dt, factor - 1.0, it, halvings, mu_steps)
             rho = factor * rho
             return replace(state, rho=rho, time=state.time + dt, rate=(rho - rho_prev) / dt)
         if it == assembly.NEWTON_MAXITER:
             raise SolverError(f"mixed Newton did not converge in {it} iterations: "
-                              f"residual {res:.3e} on {coupled.sum()} coupled cells")
+                              f"residual {cur.res:.3e} on {coupled.sum()} coupled cells")
 
-        # Newton step with frozen upwind directions
-        g = dt * rhat / graph.omega
-        delta, coupled = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
-                                        _dmu(rho, m), vol, r, forcing=tol)
-        if not np.all(np.isfinite(delta)):
-            raise SolverError("mixed Newton produced a non-finite update")
-        if not settled and res >= res_last:
-            delta = 0.5 * delta  # halved while the upwind values oscillate
-        rho = rho + delta
-        rhat_last, res_last = rhat, res
+        g = dt * cur.rhat / graph.omega
+        dmu, lap = _dmu(cur.rho, m), graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges))
+        delta, coupled = _newton_update(lap, dmu, vol, cur.r, forcing=cur.tol)
+        new = iterate(cur.rho + delta)
+        if not (new.J < cur.J - cur.slack or new.res <= new.tol):  # J's change is roundoff at convergence
+            y, free, diag = dmu[coupled] * delta[coupled], ~coupled & (lap.diagonal() > 0), lap.diagonal()
+            for k in range(LINE_SEARCH_HALVINGS):
+                rho = cur.rho + 0.5**k * delta
+                rho[coupled] = ((m - 1.0) / m * np.maximum(cur.mu[coupled] + 0.5**k * y, 0.0)) ** (1.0 / (m - 1.0))
+                # an uncoupled fed row ignores its own mu: cap rho by the roots of |K| rho = t and a mu(rho) = t
+                t = np.maximum(vol * rho + diag * cur.mu, 0.0)[free]
+                rho[free] = np.minimum(t / vol[free], ((m - 1.0) / m * t / diag[free]) ** (1.0 / (m - 1.0)))
+                new = iterate(rho)
+                if new.J <= cur.J + cur.slack:
+                    break
+            else:
+                raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
+            halvings, mu_steps = halvings + k, mu_steps + 1
+        cur = new
 
 
 def cfl_max_dt(state: MixedState):

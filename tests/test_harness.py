@@ -762,6 +762,19 @@ class TestRunConvergence:
         assert len(run_convergence(cfg)) == 3
         assert runs == [((c,), threading.get_ident()) for c in (20, 40, 80)]
 
+    @pytest.mark.parametrize("scheme", ["logdensity", "mixed"])
+    def test_each_level_builds_its_mesh_once(self, monkeypatch, scheme):
+        # the mesh built for the region check is the one the level runs on
+        built, meshes, build = [], [], harness.build_structured_mesh
+        monkeypatch.setattr(harness, "build_structured_mesh", lambda *args: built.append(build(*args)) or built[-1])
+        run = harness.run_simulation
+        monkeypatch.setattr(harness, "run_simulation", lambda cfg: meshes.append(run(cfg)[0].mesh) or (None, []))
+        monkeypatch.setattr(harness, "l2_error", lambda *args: 1.0)
+        cfg = RunConfig(scheme=scheme, problem="barenblatt1d", m=2.0, dt=0.1, T=0.2, counts=(20,), levels=3)
+        assert len(run_convergence(cfg)) == 3
+        assert [m.n_cells for m in built] == [20, 40, 80]
+        assert all(a is b for a, b in zip(meshes, built, strict=True))
+
     def test_failed_level_stops_the_study(self, monkeypatch):
         started, real_run = [], harness.run_simulation
 

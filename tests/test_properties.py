@@ -4,8 +4,8 @@ positive, for m in (1, 4] (the mixed scheme from m = 1.0001, see below) and
 compactly supported data, on an acute triangle mesh and (vertex variant and
 mixed scheme) on a quad mesh; the log-density support does not shrink.  The
 log-density variants are also checked at steps from 1e-5 to 1e5, the edge
-variant on positive data.  Examples are derandomized, so every run checks
-the same ones."""
+variant on positive data, and the mixed scheme from 1e-5 to 10.  Examples
+are derandomized, so every run checks the same ones."""
 
 import numpy as np
 import pytest
@@ -116,6 +116,22 @@ def test_mixed_step(m, cx, cy, radius, dt):
 @example(m=1.0001, cx=0.0, cy=0.0, radius=0.6, dt=1e-2)
 def test_mixed_step_quad(m, cx, cy, radius, dt):
     check_mixed_step(m, cx, cy, radius, dt, QUAD_MESH)
+
+
+# steps over six decades; the scan in test_mixed.py shows where larger ones stop
+mixed_log_steps = st.floats(min_value=-5.0, max_value=1.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=mixed_exponents, cx=centers, cy=centers, radius=radii, log_dt=mixed_log_steps)
+def test_mixed_step_any_dt(m, cx, cy, radius, log_dt):
+    check_mixed_step(m, cx, cy, radius, 10.0**log_dt)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(m=mixed_exponents, cx=centers, cy=centers, radius=radii, log_dt=mixed_log_steps)
+def test_mixed_step_quad_any_dt(m, cx, cy, radius, log_dt):
+    check_mixed_step(m, cx, cy, radius, 10.0**log_dt, QUAD_MESH)
 
 
 def test_mixed_step_roundoff_sign_flip():
