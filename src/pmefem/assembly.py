@@ -14,7 +14,6 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dptsv, dpttrs
-from scipy.sparse.linalg import norm as sparse_norm
 from scipy.sparse.linalg import splu
 
 from .mesh import INTERVAL, QUAD, TRIANGLE, Mesh
@@ -141,6 +140,11 @@ class GraphMatrix:
 
     def diagonal(self):
         return self.data[self.pattern.diag]
+
+    def norm_inf(self):
+        """||A||_inf, the largest absolute row sum (every row holds its
+        diagonal entry, so none is empty)."""
+        return float(np.max(np.add.reduceat(np.abs(self.data), self.pattern.indptr[:-1]), initial=0.0))
 
     def __matmul__(self, x):
         skeleton = self.pattern.skeleton
@@ -283,13 +287,13 @@ FORCING_FLOOR = 1e-2
 
 
 def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
-    """Solve (diag(shift) + A) x = rhs with the contract
+    """Solve K x = rhs, K = A.shifted(shift) on every path, with the contract
     ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
     (2D meshes) try Jacobi-PCG from the start point x0, accepted only on
     its true residual.  Tridiagonal patterns (1D meshes) go to LAPACK's
-    ``dptsv`` on the two bands read from the data.  Other patterns, and
-    systems that PCG misses or ``dptsv`` finds not positive definite, go to
-    sparse LU.  Both direct solves ignore x0, take one step of iterative
+    ``dptsv`` on the two bands of K's data.  Other patterns, and systems
+    that PCG misses or ``dptsv`` finds not positive definite, go to sparse
+    LU.  Both direct solves ignore x0, take one step of iterative
     refinement on their factors and also accept the backward-error bound
     1e-12 (||rhs|| + ||K||_inf ||x||).  The start point changes the
     iterations, not the contract.
@@ -313,67 +317,42 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     if x0.shape != (A.n,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"start point must be {A.n} finite values")
     tol = 1e-12 * np.linalg.norm(rhs)
-    if not A.pattern.wide and A.pattern.superdiagonal is not None:
-        x = _tridiagonal_solve(A, A.diagonal() + shift, rhs, tol)
-        if x is not None:
-            return x
     K = A.shifted(shift)
     if K.pattern.wide:
         x = _jacobi_pcg(K, K.diagonal(), rhs, tol, x0, forcing)
         if x is not None:
             return x
-    K = K.tocsr()
+    elif K.pattern.superdiagonal is not None:
+        rows, pos = K.pattern.superdiagonal
+        e = np.zeros(K.n - 1)
+        e[rows] = K.data[pos]
+        df, ef, x, info = dptsv(K.diagonal(), e, rhs)
+        if info == 0:
+            return _refined(x, lambda b: dpttrs(df, ef, b)[0], K, rhs, tol)
+        log.debug("tridiagonal solve on %d unknowns: dptsv info %d, falling back to LU", K.n, info)
     try:
-        lu = splu(K.T)  # K is symmetric: its CSR transpose is its CSC form
+        lu = splu(K.tocsr().T)  # K is symmetric: its CSR transpose is its CSC form
         x = lu.solve(rhs)
     except RuntimeError as exc:
         raise SolverError(f"singular system: {exc}") from exc
-    return _refined(x, lu.solve, K.__matmul__, lambda: sparse_norm(K, np.inf), rhs, tol)
+    return _refined(x, lu.solve, K, rhs, tol)
 
 
-def _tridiagonal_solve(A, d, rhs, tol):
-    """``dptsv`` on K, which is A, of a tridiagonal pattern, with the
-    diagonal d, refined on the same factors.  Returns None, logged at
-    DEBUG, when ``dptsv`` finds K not positive definite."""
-    rows, pos = A.pattern.superdiagonal
-    e = np.zeros(A.n - 1)
-    e[rows] = A.data[pos]
-    df, ef, x, info = dptsv(d, e, rhs)
-    if info != 0:
-        log.debug("tridiagonal solve on %d unknowns: dptsv info %d, falling back to LU", A.n, info)
-        return None
-
-    def matvec(v):
-        y = d * v
-        y[:-1] += e * v[1:]
-        y[1:] += e * v[:-1]
-        return y
-
-    def norm_inf():
-        row = np.abs(d)
-        row[:-1] += np.abs(e)
-        row[1:] += np.abs(e)
-        return row.max()
-
-    return _refined(x, lambda b: dpttrs(df, ef, b)[0], matvec, norm_inf, rhs, tol)
-
-
-def _refined(x, solve, matvec, norm_inf, rhs, tol):
-    """A direct solution x of K x = rhs, given ``solve`` on K's factors,
-    the product ``matvec`` with K and ``norm_inf()`` = ||K||_inf: one step
-    of iterative refinement where its residual exceeds tol, then accepted
-    at tol or at the normwise backward-error bound.  Raises SolverError
-    otherwise or on a non-finite x."""
+def _refined(x, solve, K, rhs, tol):
+    """A direct solution x of K x = rhs, given ``solve`` on K's factors: one
+    step of iterative refinement where its residual exceeds tol, then
+    accepted at tol or at the normwise backward-error bound.  Raises
+    SolverError otherwise or on a non-finite x."""
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: non-finite solution")
-    res = matvec(x) - rhs
+    res = K @ x - rhs
     if np.linalg.norm(res) > tol:
         x = x - solve(res)  # one step of iterative refinement
-        res = np.linalg.norm(matvec(x) - rhs)
+        res = np.linalg.norm(K @ x - rhs)
         # at large dt ||K|| ||x|| dwarfs ||rhs||: accept a normwise backward
         # stable solution (Higham, Accuracy and Stability of Numerical
         # Algorithms, 2002, ch. 7)
-        if res > tol and res > 1e-12 * (np.linalg.norm(rhs) + norm_inf() * np.linalg.norm(x)):
+        if res > tol and res > 1e-12 * (np.linalg.norm(rhs) + K.norm_inf() * np.linalg.norm(x)):
             raise SolverError("linear solve did not reach the residual bound")
     return x
 

@@ -108,9 +108,7 @@ class StepSystem:
         A = stiffness(graph, state.u, state.m, state.active)
         self.weights = -float(dt) * A.data[graph.upper]
         self.diag = float(dt) * A.diagonal()
-        absw = np.abs(self.weights)  # ||dt A||_inf: the largest |A_ii| + sum_j |A_ij|
-        self.norm = float(np.max(np.abs(self.diag) + np.bincount(graph.ei, absw, graph.n)
-                                 + np.bincount(graph.ej, absw, graph.n), initial=0.0))
+        self.norm = float(dt) * A.norm_inf()  # ||dt A||_inf
         self.exp_prev = state.density()
         self.b = self.M * self.exp_prev
         self.S = float(np.max(self.b, initial=0.0))
@@ -254,6 +252,11 @@ def step_logdensity(state: LogDensityState, dt, variant: str = "vertex") -> LogD
     line-search halvings and row-corrected vertices)."""
     system = StepSystem(state, dt, variant)
     u, active = state.u.copy(), state.active.copy()
+
+    def context():  # the tail of a failure message
+        res = np.max(np.abs(system.residual(u, active)), initial=0.0)
+        return f"residual {res:.3e} on {active.sum()} active vertices"
+
     for k in range(assembly.NEWTON_MAXITER + 1):
         if (system.activation_mask(u, active) is active  # the record's mask while the set is stable
                 and np.max(np.abs(system.residual(u, active)), initial=0.0) <= system.tolerance(u, active)):
@@ -264,10 +267,11 @@ def step_logdensity(state: LogDensityState, dt, variant: str = "vertex") -> LogD
                       state.time + float(dt), c, k, system.halvings, system.corrected)
             return replace(state, u=np.where(active, u + c, u), active=active, time=state.time + float(dt))
         if k < assembly.NEWTON_MAXITER:
-            u, active = newton_update(system, u, active)
-    res = np.max(np.abs(system.residual(u, active)), initial=0.0)
-    raise SolverError(f"log-density Newton did not converge in {k} iterations: "
-                      f"residual {res:.3e} on {active.sum()} active vertices")
+            try:
+                u, active = newton_update(system, u, active)
+            except SolverError as exc:
+                raise type(exc)(f"log-density Newton iteration {k + 1}: {exc}; {context()}") from exc
+    raise SolverError(f"log-density Newton did not converge in {k} iterations: {context()}")
 
 
 def entropy_energy(state: LogDensityState) -> float:

@@ -103,20 +103,19 @@ def _dmu(rho, m):
     return m * np.maximum(rho, 0.0 if m >= 2.0 else 1e-12) ** (m - 2.0)
 
 
-def _newton_update(lap, dmu, vol, r, forcing=None):
+def _newton_update(lap, dmu, vol, r, coupled, forcing=None):
     """delta with (V + L D) delta = -r: y = D delta solves (V/D + L) y = -r on the
-    cells where D_k L_kk is above roundoff of |K|, the others take (-r - L y) / |K|.
-    The solve starts from 0, so a Newton tolerance ``forcing`` makes it
-    inexact relative to the coupled part of r (see ``spd_solve``).  Returns
-    delta and the mask of those coupled cells."""
-    coupled = dmu * lap.diagonal() > 2.0**-52 * vol
+    ``coupled`` cells, those where D_k L_kk is above roundoff of |K|; the
+    others take (-r - L y) / |K|.  The solve starts from 0, so a Newton
+    tolerance ``forcing`` makes it inexact relative to the coupled part of r
+    (see ``spd_solve``)."""
     y = np.zeros(len(vol))
     if coupled.any():
         y[coupled] = spsolve(lap.restrict(coupled), vol[coupled] / dmu[coupled], -r[coupled],
                              np.zeros(coupled.sum()), forcing=forcing)
     delta = (-r - lap @ y) / vol
     delta[coupled] = y[coupled] / dmu[coupled]
-    return delta, coupled
+    return delta
 
 
 def step_mixed(state: MixedState, dt) -> MixedState:
@@ -154,6 +153,9 @@ def step_mixed(state: MixedState, dt) -> MixedState:
                                tol=max(NEWTON_TOL, ROUNDOFF * (scale + lap_norm * mu.max())),
                                J=a - b + faces, slack=ROUNDOFF * (a + b + faces))
 
+    def context():  # the tail of a failure message
+        return f"residual {cur.res:.3e} on {coupled.sum()} coupled cells"
+
     cur = iterate(rho_prev if state.rate is None else np.maximum(rho_prev + dt * state.rate, 0.0))
     halvings = mu_steps = 0
     for it in range(assembly.NEWTON_MAXITER + 1):
@@ -165,27 +167,30 @@ def step_mixed(state: MixedState, dt) -> MixedState:
             rho = factor * rho
             return replace(state, rho=rho, time=state.time + dt, rate=(rho - rho_prev) / dt)
         if it == assembly.NEWTON_MAXITER:
-            raise SolverError(f"mixed Newton did not converge in {it} iterations: "
-                              f"residual {cur.res:.3e} on {coupled.sum()} coupled cells")
+            raise SolverError(f"mixed Newton did not converge in {it} iterations: {context()}")
 
         g = dt * cur.rhat / graph.omega
         dmu, lap = _dmu(cur.rho, m), graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges))
-        delta, coupled = _newton_update(lap, dmu, vol, cur.r, forcing=cur.tol)
-        new = iterate(cur.rho + delta)
-        if not (new.J < cur.J - cur.slack or new.res <= new.tol):  # J's change is roundoff at convergence
-            y, free, diag = dmu[coupled] * delta[coupled], ~coupled & (lap.diagonal() > 0), lap.diagonal()
-            for k in range(LINE_SEARCH_HALVINGS):
-                rho = cur.rho + 0.5**k * delta
-                rho[coupled] = ((m - 1.0) / m * np.maximum(cur.mu[coupled] + 0.5**k * y, 0.0)) ** (1.0 / (m - 1.0))
-                # an uncoupled fed row ignores its own mu: cap rho by the roots of |K| rho = t and a mu(rho) = t
-                t = np.maximum(vol * rho + diag * cur.mu, 0.0)[free]
-                rho[free] = np.minimum(t / vol[free], ((m - 1.0) / m * t / diag[free]) ** (1.0 / (m - 1.0)))
-                new = iterate(rho)
-                if new.J <= cur.J + cur.slack:
-                    break
-            else:
-                raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
-            halvings, mu_steps = halvings + k, mu_steps + 1
+        coupled = dmu * lap.diagonal() > 2.0**-52 * vol
+        try:
+            delta = _newton_update(lap, dmu, vol, cur.r, coupled, forcing=cur.tol)
+            new = iterate(cur.rho + delta)
+            if not (new.J < cur.J - cur.slack or new.res <= new.tol):  # J's change is roundoff at convergence
+                y, free, diag = dmu[coupled] * delta[coupled], ~coupled & (lap.diagonal() > 0), lap.diagonal()
+                for k in range(LINE_SEARCH_HALVINGS):
+                    rho = cur.rho + 0.5**k * delta
+                    rho[coupled] = ((m - 1.0) / m * np.maximum(cur.mu[coupled] + 0.5**k * y, 0.0)) ** (1.0 / (m - 1.0))
+                    # an uncoupled fed row ignores its own mu: cap rho by the roots of |K| rho = t and a mu(rho) = t
+                    t = np.maximum(vol * rho + diag * cur.mu, 0.0)[free]
+                    rho[free] = np.minimum(t / vol[free], ((m - 1.0) / m * t / diag[free]) ** (1.0 / (m - 1.0)))
+                    new = iterate(rho)
+                    if new.J <= cur.J + cur.slack:
+                        break
+                else:
+                    raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
+                halvings, mu_steps = halvings + k, mu_steps + 1
+        except SolverError as exc:
+            raise type(exc)(f"mixed Newton iteration {it + 1}: {exc}; {context()}") from exc
         cur = new
 
 

@@ -686,12 +686,12 @@ class TestTridiagonalSolve:
 
     def test_bands_computed_once_per_sub_pattern(self, monkeypatch):
         computed, builds, solves = [], [], []
-        bands, sub_pattern, solve = Pattern.superdiagonal.func, Pattern._sub_pattern, assembly._tridiagonal_solve
+        bands, sub_pattern, solve = Pattern.superdiagonal.func, Pattern._sub_pattern, assembly.dptsv
         band = cached_property(lambda self: computed.append(self) or bands(self))
         band.__set_name__(Pattern, "superdiagonal")
         monkeypatch.setattr(Pattern, "superdiagonal", band)
         monkeypatch.setattr(Pattern, "_sub_pattern", lambda self, mask: builds.append(1) or sub_pattern(self, mask))
-        monkeypatch.setattr(assembly, "_tridiagonal_solve", lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(assembly, "dptsv", lambda *args: solves.append(1) or solve(*args))
         monkeypatch.setattr(assembly, "splu", no_lu)
         m = build_structured_mesh("interval", (-10, 10), 100)
         st = init_log_state(m, get_problem("barenblatt1d", 2.0).rho0, 2.0)
@@ -723,6 +723,14 @@ class TestGraphOperator:
         # rows lose exactly their coupling to the dropped vertices
         assert sub.tocsr().sum(axis=1).A1 == pytest.approx(-full[active][:, ~active].sum(axis=1), abs=1e-12)
         assert np.max(np.abs(A.tocsr().sum(axis=1).A1)) < 1e-12
+
+    def test_norm_inf_is_the_largest_absolute_row_sum(self):
+        mesh, path, rng = path_stiffness(60)
+        mask = np.ones(mesh.n_vertices, bool)
+        mask[[0, 7, 8, 30, 45, 60]] = False
+        _, plane, _ = stiffness_2d()
+        for K in (path.shifted(rng.uniform(size=path.n)), plane, path.restrict(mask)):
+            assert K.norm_inf() == np.abs(K.tocsr()).sum(axis=1).max()
 
     def test_inactive_edges_keep_the_pattern(self):
         m = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (4, 4))

@@ -4,6 +4,7 @@ import io
 import itertools
 import logging
 import math
+import re
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError
@@ -888,6 +889,19 @@ class TestCli:
         assert err.startswith("error: step 1")
         assert "Newton did not converge" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scheme,site,name,nodes", [("logdensity", ld, "spd_solve", "active vertices"),
+                                                        ("mixed", mx, "spsolve", "coupled cells")])
+    def test_linear_solve_failure_is_reported(self, tmp_path, capsys, monkeypatch, scheme, site, name, nodes):
+        def failing(*args, **kwargs):
+            raise SolverError("singular system: injected")
+
+        monkeypatch.setattr(site, name, failing)
+        assert cli.main(["simulate", str(write_cfg(tmp_path, minimal(scheme=scheme)))]) == 2
+        label = "log-density" if scheme == "logdensity" else "mixed"
+        pattern = (rf"error: step 1 \(t=0\.2\) failed: {label} Newton iteration 1: singular system: injected; "
+                   rf"residual \d\.\d{{3}}e[+-]\d\d on \d+ {nodes}\n")
+        assert re.fullmatch(pattern, capsys.readouterr().err)
 
     @pytest.mark.parametrize("text,message", [
         ("2 one 3 triangle\n", "mesh header"),

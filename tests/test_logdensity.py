@@ -326,10 +326,25 @@ class TestIterateRecord:
         # the acceptance test and the line search's f0 read the record: a
         # Newton iteration without fresh vertices, with the acceptance test of
         # its result, multiplies with K for the row correction and for the
-        # candidate alone (3 or 4 products before the record)
-        products, marks, fresh = [], [], []
+        # candidate alone (3 or 4 products before the record).  The linear
+        # solve's own products, such as its refinement residual, are not counted
+        products, marks, fresh, solving = [], [], [], []
         matmul, update, step = GraphMatrix.__matmul__, logdensity.newton_update, logdensity.step_logdensity
-        monkeypatch.setattr(GraphMatrix, "__matmul__", lambda self, x: products.append(1) or matmul(self, x))
+
+        def counted_matmul(self, x):
+            if not solving:
+                products.append(1)
+            return matmul(self, x)
+
+        def uncounted_solve(*args, **kwargs):
+            solving.append(1)
+            try:
+                return spd_solve(*args, **kwargs)
+            finally:
+                solving.clear()
+
+        monkeypatch.setattr(GraphMatrix, "__matmul__", counted_matmul)
+        monkeypatch.setattr(logdensity, "spd_solve", uncounted_solve)
 
         def counted_update(system, u, active):
             marks.append(len(products))
@@ -601,6 +616,20 @@ class TestFailureModes:
         with pytest.raises(SolverError, match=r"^log-density Newton did not converge in 1 iterations: "
                                               r"residual \d\.\d{3}e-0\d on 19 active vertices$"):
             step_logdensity(st, 0.1)
+
+    def test_linear_solve_failure_message(self, monkeypatch):
+        # a failed update keeps its type and gains the iteration and the
+        # residual of the iterate it started from
+        def failing(*args, **kwargs):
+            raise SolverError("singular system: injected")
+
+        monkeypatch.setattr(logdensity, "spd_solve", failing)
+        mesh = build_structured_mesh("interval", (-10, 10), 30)
+        st = init_log_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
+        with pytest.raises(SolverError, match=r"^log-density Newton iteration 1: singular system: injected; "
+                                              r"residual \d\.\d{3}e[+-]\d\d on 17 active vertices$") as info:
+            step_logdensity(st, 0.1)
+        assert type(info.value.__cause__) is SolverError and str(info.value.__cause__) == "singular system: injected"
 
     def test_invalid_variant(self):
         mesh = build_structured_mesh("interval", (0, 1), 4)

@@ -1,7 +1,9 @@
 """Mixed scheme: condensation, upwinding, conservation, CFL positivity."""
 
+import importlib.util
 import logging
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from pmefem.mixed import (
     step_mixed,
 )
 from pmefem.problems import barenblatt, get_problem, merging_gaussians
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def state_from_rho(mesh, rho, m=2.0):
@@ -414,8 +418,8 @@ class TestNewtonUpdate:
             jac[b, b] += ga * dmu[b]
         r = np.random.default_rng(1).standard_normal(mesh.n_cells)
         graph = state.graph
-        delta, _ = _newton_update(graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges)),
-                                  dmu, mesh.cell_volumes, r)
+        lap = graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges))
+        delta = _newton_update(lap, dmu, mesh.cell_volumes, r, dmu * lap.diagonal() > 2.0**-52 * mesh.cell_volumes)
         assert np.all(np.isfinite(delta))
         assert np.linalg.norm(jac @ delta + r) <= 1e-11 * np.linalg.norm(r)
 
@@ -462,9 +466,15 @@ class TestInexactNewton:
         run_simulation(RunConfig(scheme="mixed", problem="horseshoe", dt=1e-3, counts=(40, 40), **keys))
         return len(solves)
 
-    def test_horseshoe_newton_solves(self, monkeypatch):
-        # the benchmark's mixed-horseshoe run: 234 solves, at most 5% more is allowed
-        assert self.count_solves(monkeypatch, m=3.0, T=0.1) <= 246
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_horseshoe_newton_solves(self, monkeypatch, seed):
+        # the benchmark's mixed-horseshoe run on the domain of each seed: 237
+        # and 244 solves, 234 and 237 before the line search on J
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)  # defines the workloads; runs nothing
+        domain = bench.shifted_domain(bench.WORKLOADS["mixed-horseshoe"]["domain"], (40, 40), seed)
+        assert self.count_solves(monkeypatch, m=3.0, T=0.1, domain=sum(domain, ())) <= 246
 
     def test_linear_case_needs_about_one_update_per_step(self, monkeypatch):
         # at m = 2 the system is linear for frozen upwind values: exact solves
@@ -653,6 +663,30 @@ class TestLargeSteps:
         assert max(abs(f) for f in factors) <= 1e-9
 
 
+class TestScaleCovariance:
+    # the PME is invariant under rho -> lam rho, t -> lam^(1-m) t, and so is
+    # the scheme's discrete system: a run from lam rho0 should be lam times
+    # the unit run
+    MESH = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16))
+    ABSOLUTE_TOLERANCE = pytest.mark.xfail(strict=True, reason=(
+        "mixed.NEWTON_TOL = 1e-11 is absolute (mass units): at small lam it is loose against the data, "
+        "0.15 of the maximum apart at lam = 1e-8, m = 2"))
+
+    def run(self, lam, m):
+        st = init_mixed_state(self.MESH, lambda pts: lam * np.maximum(0.5 - (pts ** 2).sum(axis=1), 0.0), m,
+                              compute_edge_geometry(self.MESH))
+        for _ in range(10):
+            st = step_mixed(st, 2e-3 * lam ** (1.0 - m))
+        return st.rho
+
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    @pytest.mark.parametrize("lam", [pytest.param(1e-8, marks=ABSOLUTE_TOLERANCE),
+                                     pytest.param(1e-4, marks=ABSOLUTE_TOLERANCE), 1e4, 1e8])
+    def test_amplitude_scaling(self, lam, m):
+        unit = self.run(1.0, m)
+        assert np.max(np.abs(self.run(lam, m) / lam - unit)) <= 1e-9 * unit.max()
+
+
 class TestFailureModes:
     def test_nonconvergence_raises(self, monkeypatch):
         # the m = 3 step needs three Newton updates
@@ -662,6 +696,16 @@ class TestFailureModes:
                               compute_edge_geometry(mesh))
         with pytest.raises(SolverError, match="Newton did not converge"):
             step_mixed(st, 1e-2)
+
+    def test_line_search_failure_message(self):
+        # the one failure of TestStepFunctional's scan: its line search is
+        # exhausted on step 2, and the message names the Newton iteration
+        mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (8, 8))
+        st = step_mixed(init_mixed_state(mesh, TestStepFunctional.CAP, 1.2, compute_edge_geometry(mesh)), 1e5)
+        with pytest.raises(SolverError, match=r"^mixed Newton iteration \d+: line search exhausted 50 halvings; "
+                                              r"residual \d\.\d{3}e[+-]\d\d on \d+ coupled cells$") as info:
+            step_mixed(st, 1e5)
+        assert type(info.value.__cause__) is SolverError
 
     def test_nonconvergence_message(self, monkeypatch):
         # two iterations do not reach the tolerance
