@@ -40,9 +40,8 @@ class Pattern:
     entry and the position of every diagonal entry.  It keeps the sub-pattern
     of the last mask it was restricted to, as one entry (a copy of the mask,
     the kept entry positions and the sub-pattern) that is replaced whole.
-    Its row width and bands, by which ``spd_solve`` picks a path, and the
-    CSR skeleton that its matrices multiply with are computed once, on
-    first use."""
+    Its bands, by which ``spd_solve`` picks a path, and the CSR skeleton
+    that its matrices multiply with are computed once, on first use."""
 
     def __init__(self, indptr, indices, rows, diag):
         self.indptr, self.indices, self.rows, self.diag = indptr, indices, rows, diag
@@ -76,17 +75,15 @@ class Pattern:
         return sparse.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
-    def wide(self):
-        """Whether some row holds more than 3 entries, as on 2D meshes."""
-        return bool(np.diff(self.indptr).max() > 3)
-
-    @cached_property
     def superdiagonal(self):
         """(rows, positions) of the entries (i, i + 1) when every entry has
         |i - j| <= 1, as on 1D meshes numbered left to right, else None.  A
         row missing from ``rows`` has no (i, i + 1) entry.  One node has
-        no band: LAPACK's wrapper takes no empty superdiagonal."""
-        if self.n < 2 or np.any(np.abs(self.indices - self.rows) > 1):
+        no band: LAPACK's wrapper takes no empty superdiagonal.  Every row
+        holds its diagonal and sorted columns, so its ends decide."""
+        node = np.arange(self.n)
+        if (self.n < 2 or np.any(self.indices[self.indptr[:-1]] < node - 1)
+                or np.any(self.indices[self.indptr[1:] - 1] > node + 1)):
             return None
         pos = np.flatnonzero(self.indices == self.rows + 1)
         return self.rows[pos], pos
@@ -195,28 +192,21 @@ def lumped_mass(mesh: Mesh) -> np.ndarray:
     return np.bincount(mesh.cells.ravel(), weights, mesh.n_vertices)
 
 
-#: |u_i - u_j| below which the harmonic average takes its midpoint value
-HARMONIC_BRANCH_EPS = 1e-10
-
-
 def harmonic_edge_average(u_i, u_j, m):
     """Harmonic average of the coefficient m*exp(m*u) along an edge on which
     u varies linearly between u_i and u_j.
 
     Evaluated in the cancellation-free form
         m * exp(m*(u_i+u_j)/2) * z / sinh(z),   z = m*(u_j-u_i)/2,
-    which equals m^2 (u_j-u_i) / (exp(-m u_i) - exp(-m u_j)) exactly and
-    falls back to the midpoint value m*exp(m*(u_i+u_j)/2) for |u_i-u_j|
-    below HARMONIC_BRANCH_EPS.
+    which equals m^2 (u_j-u_i) / (exp(-m u_i) - exp(-m u_j)) exactly; at
+    z = 0 it is the midpoint value m*exp(m*(u_i+u_j)/2).  Below |z| = 1e-8
+    z / sinh(z) rounds to exactly 1.
     """
     ui = np.asarray(u_i, dtype=float)
     uj = np.asarray(u_j, dtype=float)
     mid = np.exp(0.5 * m * (ui + uj)) * m
     z = 0.5 * m * (uj - ui)
-    small = np.abs(uj - ui) <= HARMONIC_BRANCH_EPS
-    zsafe = np.where(small, 1.0, z)
-    ratio = np.where(small, 1.0, zsafe / np.sinh(zsafe))
-    out = mid * ratio
+    out = mid * np.divide(z, np.sinh(z), out=np.ones_like(z), where=z != 0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -288,15 +278,14 @@ FORCING_FLOOR = 1e-2
 
 def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     """Solve K x = rhs, K = A.shifted(shift) on every path, with the contract
-    ||residual|| <= 1e-12 ||rhs||.  Graphs with rows of more than 3 entries
-    (2D meshes) try Jacobi-PCG from the start point x0, accepted only on
-    its true residual.  Tridiagonal patterns (1D meshes) go to LAPACK's
-    ``dptsv`` on the two bands of K's data.  Other patterns, and systems
-    that PCG misses or ``dptsv`` finds not positive definite, go to sparse
-    LU.  Both direct solves ignore x0, take one step of iterative
-    refinement on their factors and also accept the backward-error bound
-    1e-12 (||rhs|| + ||K||_inf ||x||).  The start point changes the
-    iterations, not the contract.
+    ||residual|| <= 1e-12 ||rhs||.  Tridiagonal patterns (1D meshes numbered
+    left to right) go to LAPACK's ``dptsv`` on the two bands of K's data;
+    every other pattern tries Jacobi-PCG from the start point x0, accepted
+    only on its true residual.  Systems that PCG misses or ``dptsv`` finds
+    not positive definite fall back to sparse LU.  Both direct solves ignore
+    x0, take one step of iterative refinement on their factors and also
+    accept the backward-error bound 1e-12 (||rhs|| + ||K||_inf ||x||).  The
+    start point changes the iterations, not the contract.
 
     A Newton loop whose start residual r0 = rhs - K x0 is its Newton
     residual asks for an inexact solve by passing its Newton tolerance as
@@ -318,11 +307,7 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
         raise ValueError(f"start point must be {A.n} finite values")
     tol = 1e-12 * np.linalg.norm(rhs)
     K = A.shifted(shift)
-    if K.pattern.wide:
-        x = _jacobi_pcg(K, K.diagonal(), rhs, tol, x0, forcing)
-        if x is not None:
-            return x
-    elif K.pattern.superdiagonal is not None:
+    if K.pattern.superdiagonal is not None:
         rows, pos = K.pattern.superdiagonal
         e = np.zeros(K.n - 1)
         e[rows] = K.data[pos]
@@ -330,6 +315,10 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
         if info == 0:
             return _refined(x, lambda b: dpttrs(df, ef, b)[0], K, rhs, tol)
         log.debug("tridiagonal solve on %d unknowns: dptsv info %d, falling back to LU", K.n, info)
+    else:
+        x = _jacobi_pcg(K, K.diagonal(), rhs, tol, x0, forcing)
+        if x is not None:
+            return x
     try:
         lu = splu(K.tocsr().T)  # K is symmetric: its CSR transpose is its CSC form
         x = lu.solve(rhs)

@@ -131,8 +131,10 @@ class StepSystem:
     def record(self, u, active):
         """The record of the last iterate (u, active) asked for, keyed on the
         identity of both arrays, which it makes read-only: ``dens``, ``act``
-        (``active`` itself while stable), ``tol`` and, once needed by
-        ``residual`` or ``functional``, ``Ku = K u[active]`` and their ``f``."""
+        (the cutoff test on the Newton diagonal, ``active`` itself while
+        stable), ``tol`` (NEWTON_RTOL * S, floored at the residual's roundoff)
+        and, once needed by ``residual`` or ``functional``, ``Ku = K u[active]``,
+        ``f`` and its roundoff ``slack``."""
         rec = self._record
         if rec is None or rec.u is not u or rec.active is not active:
             u.flags.writeable = active.flags.writeable = False
@@ -149,16 +151,10 @@ class StepSystem:
         if rec.f is None:
             ua = u[active]
             rec.Ku = self.operator(active) @ ua
-            rec.f = float(self.M[active] @ rec.dens[active] - ua @ self.b[active] + 0.5 * (ua @ rec.Ku))
+            a, b, c = float(self.M[active] @ rec.dens[active]), float(ua @ self.b[active]), 0.5 * float(ua @ rec.Ku)
+            # the roundoff of the mixed scheme's J, and its growth with ||dt A||_inf |u|^2 at large dt
+            rec.f, rec.slack = a - b + c, ROUNDOFF * max(a + abs(b) + abs(c), self.norm * float(ua @ ua))
         return rec
-
-    def activation_mask(self, u, active):
-        """Per-iteration cutoff test on the Newton system diagonal."""
-        return self.record(u, active).act
-
-    def tolerance(self, u, active):
-        """NEWTON_RTOL * S, floored at the roundoff of the residual."""
-        return self.record(u, active).tol
 
     def residual(self, u, active):
         """Nonlinear residual restricted to the active set (u must carry
@@ -199,7 +195,6 @@ def newton_update(system: StepSystem, u, active):
     act, dens = rec.act, rec.dens
     if not act.any():
         raise SolverError("all degrees of freedom inactive")
-    fresh = act & ~active
 
     uz = np.where(active, u, 0.0)
     shift = (system.M * dens)[act]
@@ -220,26 +215,16 @@ def newton_update(system: StepSystem, u, active):
         x[up] = np.minimum(x[up], row_solution(system.M[idx], a[up], c))
         system.corrected += int(up.sum())
 
-    if fresh.any():
-        # freshly activated vertices have no previous value: the functional at
-        # the incoming iterate is +inf there, so the full step always decreases
-        u_full = np.full_like(u, LOG_FLOOR)
-        u_full[act] = x
-        return u_full, act
-
-    f0 = system.functional(u, act)
-    ua = u[act]
-    # the functional's roundoff grows with ||dt A||_inf |u|^2 at large dt
-    slack = max(1e-12 * max(1.0, abs(f0)), ROUNDOFF * system.norm * float(ua @ ua))
-    step = x - ua
-    lam = 1.0
+    # a freshly activated vertex has density 0 in the incoming iterate, u = -inf,
+    # where the functional is +inf: the line search takes the full step x
+    bound = np.inf if (act & ~active).any() else system.functional(u, act) + system.record(u, act).slack
+    step = x - u[act]
     for k in range(LINE_SEARCH_HALVINGS):
         cand = np.full_like(u, LOG_FLOOR)
-        cand[act] = ua + lam * step
-        if system.functional(cand, act) <= f0 + slack:
+        cand[act] = x - (1.0 - 0.5**k) * step
+        if system.functional(cand, act) <= bound:
             system.halvings += k
             return cand, act
-        lam *= 0.5
     raise SolverError(f"line search exhausted {LINE_SEARCH_HALVINGS} halvings")
 
 
@@ -258,9 +243,9 @@ def step_logdensity(state: LogDensityState, dt, variant: str = "vertex") -> LogD
         return f"residual {res:.3e} on {active.sum()} active vertices"
 
     for k in range(assembly.NEWTON_MAXITER + 1):
-        if (system.activation_mask(u, active) is active  # the record's mask while the set is stable
-                and np.max(np.abs(system.residual(u, active)), initial=0.0) <= system.tolerance(u, active)):
-            mass = float(np.sum(system.M * system.record(u, active).dens))
+        rec = system.record(u, active)
+        if rec.act is active and np.max(np.abs(system.residual(u, active)), initial=0.0) <= rec.tol:
+            mass = float(np.sum(system.M * rec.dens))
             c = float(np.log(np.sum(system.b) / mass)) if mass else 0.0  # an empty state stays empty
             log.debug("log-density step to t=%g: mass correction c=%.3e after %d Newton iterations, "
                       "%d line-search halvings, %d row-corrected vertices",

@@ -166,12 +166,11 @@ def step_mixed(state: MixedState, dt) -> MixedState:
                       "line-search halvings, %d steps in mu", state.time + dt, factor - 1.0, it, halvings, mu_steps)
             rho = factor * rho
             return replace(state, rho=rho, time=state.time + dt, rate=(rho - rho_prev) / dt)
-        if it == assembly.NEWTON_MAXITER:
-            raise SolverError(f"mixed Newton did not converge in {it} iterations: {context()}")
-
         g = dt * cur.rhat / graph.omega
         dmu, lap = _dmu(cur.rho, m), graph.laplacian(np.bincount(graph.pair_edge, g, graph.n_edges))
         coupled = dmu * lap.diagonal() > 2.0**-52 * vol
+        if it == assembly.NEWTON_MAXITER:
+            raise SolverError(f"mixed Newton did not converge in {it} iterations: {context()}")
         try:
             delta = _newton_update(lap, dmu, vol, cur.r, coupled, forcing=cur.tol)
             new = iterate(cur.rho + delta)

@@ -1,5 +1,6 @@
 """Lumped mass, harmonic averages, the two stiffness variants, SPD solves."""
 
+import itertools
 import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -26,11 +27,11 @@ from pmefem.assembly import (
     stiffness_edge_based,
     stiffness_vertex_quadrature,
 )
-from pmefem.harness import RunConfig, run_simulation
-from pmefem.logdensity import init_log_state, step_logdensity
-from pmefem.mesh import build_structured_mesh, compute_edge_geometry, make_mesh
+from pmefem.harness import SCHEMES, ConfigError, RunConfig, run_simulation, validate_config
+from pmefem.logdensity import VARIANTS, init_log_state, step_logdensity
+from pmefem.mesh import STRUCTURED_KINDS, build_structured_mesh, compute_edge_geometry, make_mesh
 from pmefem.mixed import init_mixed_state, step_mixed
-from pmefem.problems import get_problem
+from pmefem.problems import PROBLEM_NAMES, get_problem
 
 
 def all_active(mesh):
@@ -118,6 +119,23 @@ class TestHarmonicAverage:
         above = harmonic_edge_average(u, u + 2e-10, m)
         below = harmonic_edge_average(u, u + 0.5e-10, m)
         assert above == pytest.approx(below, rel=1e-9)
+
+    @pytest.mark.parametrize("m", [1.0001, 2.0, 4.0])
+    def test_equals_the_removed_midpoint_branch(self, m):
+        # the midpoint branch once taken for |u_i - u_j| <= 1e-10: z / sinh(z)
+        # rounds to exactly 1 there, so the one formula gives its numbers bitwise
+        def branched(ui, uj):
+            mid = np.exp(0.5 * m * (ui + uj)) * m
+            small = np.abs(uj - ui) <= 1e-10
+            zsafe = np.where(small, 1.0, 0.5 * m * (uj - ui))
+            return mid * np.where(small, 1.0, zsafe / np.sinh(zsafe))
+
+        du = np.array([0.0, 5e-324, 1e-300, 1e-13, 5e-11, 1e-10])
+        for base in (0.0, -0.7, 2.3, -41.0):
+            ui = np.full(2 * du.size, base)
+            uj = base + np.concatenate([du, -du])
+            assert np.array_equal(harmonic_edge_average(ui, uj, m), branched(ui, uj))
+            assert np.array_equal(harmonic_edge_average(uj, ui, m), branched(uj, ui))
 
     def test_vectorized(self):
         ui = np.array([0.0, 1.0, -2.0])
@@ -635,18 +653,49 @@ class TestTridiagonalSolve:
         x = spd_solve(K, shift, rhs, np.zeros(K.n))
         assert np.linalg.norm(K @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
-    def test_permuted_path_goes_to_lu(self, monkeypatch):
+    def test_permuted_path_goes_to_pcg(self, monkeypatch):
         # an interval mesh read from a file may number its vertices in any order
         n = 40
         perm = np.random.default_rng(7).permutation(n)
         A = graph_matrix(n, np.column_stack([perm[:-1], perm[1:]]), -np.ones(n - 1), np.zeros(n))
         A.data[A.pattern.diag] = -np.bincount(A.pattern.rows, A.data, n)
-        assert A.pattern.superdiagonal is None and not A.pattern.wide
-        calls = counted_lu(monkeypatch)
+        assert A.pattern.superdiagonal is None
+        monkeypatch.setattr(assembly, "splu", no_lu)
         rhs = np.linspace(-1.0, 2.0, n)
         x = spd_solve(A, np.full(n, 0.1), rhs, np.zeros(n))
-        assert len(calls) == 1
         assert np.linalg.norm(A @ x + 0.1 * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_one_node_and_narrow_2d_patterns_go_to_pcg(self, monkeypatch):
+        # neither has a band: one node, and the two side columns of a 2D mesh,
+        # whose rows hold at most 3 entries but whose numbering interleaves them
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        one = graph_matrix(1, [], [], [2.0])
+        assert one.pattern.superdiagonal is None
+        assert spd_solve(one, np.array([0.5]), np.array([3.0]), np.zeros(1)) == pytest.approx([1.2], rel=1e-15)
+        m, A, rng = stiffness_2d()
+        K = A.restrict(np.isin(m.vertices[:, 0], (0.0, 1.0)))
+        assert K.pattern.superdiagonal is None and np.diff(K.pattern.indptr).max() == 3
+        shift, rhs = np.full(K.n, 0.1), rng.normal(size=K.n)
+        x = spd_solve(K, shift, rhs, np.zeros(K.n))
+        assert np.linalg.norm(K @ x + shift * x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+    def test_no_cli_config_reaches_lu(self, monkeypatch):
+        # every scheme x problem x mesh kind x variant the config check accepts,
+        # 3 steps on a small mesh: sparse LU is only the fallback
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        runs = 0
+        for scheme, problem, kind, variant in itertools.product(
+                SCHEMES, PROBLEM_NAMES, STRUCTURED_KINDS, VARIANTS):
+            counts = (20,) if kind == "interval" else (6, 6)
+            try:
+                cfg = validate_config(RunConfig(scheme=scheme, problem=problem, m=2.0, dt=1e-2, T=3e-2,
+                                                mesh_kind=kind, counts=counts, variant=variant))
+            except ConfigError:
+                continue
+            _, records = run_simulation(cfg)
+            assert len(records) == 3
+            runs += 1
+        assert runs >= 20
 
     def test_indefinite_system_falls_back_to_lu_once(self, monkeypatch, caplog):
         m, A, rng = path_stiffness(30)

@@ -131,7 +131,7 @@ class TestParseConfig:
             assert cli.main(["simulate", str(cfg)]) == 2
             assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 2), ("mixed", 2)])
+    @pytest.mark.parametrize("scheme,iterations", [("logdensity", 2), ("mixed", 2), ("logdensity", 0), ("mixed", 0)])
     def test_newton_maxiter_reaches_both_schemes(self, tmp_path, capsys, monkeypatch, scheme, iterations):
         # one budget of Newton updates for both schemes, read at call time
         monkeypatch.setattr(assembly, "NEWTON_MAXITER", iterations)

@@ -133,6 +133,42 @@ class TestNewton:
             values.append(system.functional(u, act))
         assert all(b <= a + 1e-12 * max(1, abs(a)) for a, b in zip(values, values[1:]))
 
+    def test_fresh_vertices_take_exactly_the_solve(self, monkeypatch):
+        # the incoming iterate has density 0 at a fresh vertex, where the
+        # functional is +inf: the line search takes the full step, which is
+        # the solve's x itself (the row correction is switched off)
+        mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16))
+        st = init_log_state(mesh, get_problem("horseshoe", 3.0).rho0, 3.0)
+        system = StepSystem(st, 1e-3, "vertex")
+        solved = []
+        monkeypatch.setattr(logdensity, "ROW_LIFT", np.inf)
+        monkeypatch.setattr(logdensity, "spd_solve",
+                            lambda *args, **kw: solved.append(spd_solve(*args, **kw)) or solved[-1].copy())
+        u, act = newton_update(system, st.u, st.active)
+        assert (act & ~st.active).any()
+        assert np.array_equal(u[act], solved[0]) and system.halvings == 0
+        assert np.all(u[~act] == logdensity.LOG_FLOOR)
+        # an accepted full step without fresh vertices is x itself too
+        for _ in range(5):
+            prev, (u, act) = act, newton_update(system, u, act)
+            if not (act & ~prev).any():
+                break
+        assert not (act & ~prev).any()
+        assert system.halvings == 0 and np.array_equal(u[act], solved[-1])
+
+    def test_slack_is_relative_at_small_amplitude(self):
+        # the line search's slack is the roundoff of the functional: from
+        # 1e-8 rho0, where |f0| < 1, it stays at 1e-12 |f0| and below (an
+        # absolute floor of 1e-12 cannot)
+        mesh = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (16, 16))
+        st = init_log_state(mesh, lambda pts: 1e-8 * get_problem("horseshoe", 3.0).rho0(pts), 3.0)
+        system = StepSystem(st, 1e-3, "vertex")
+        f0 = system.functional(st.u, st.active)
+        assert 0 < abs(f0) < 1
+        assert system.record(st.u, st.active).slack <= 1e-12 * abs(f0)
+        u, act = newton_update(system, st.u, st.active)
+        assert system.functional(u, act) <= f0
+
 
 class TestRowPredictor:
     def test_row_solution_to_roundoff(self):
@@ -208,7 +244,7 @@ class TestRowPredictor:
             newton_update(system, u, active)
         K, x = solves[0]
         a = K.diagonal()
-        idx = np.flatnonzero(system.activation_mask(u, active))
+        idx = np.flatnonzero(system.record(u, active).act)
         c = system.b[idx] - (K @ x - a * x)
         pos = a > 0
         v = row_solution(system.M[idx][pos], a[pos], c[pos])
@@ -306,12 +342,14 @@ class TestIterateRecord:
     def test_interleaved_calls_match_a_fresh_system(self):
         st, iterates, masks = self.case()
         system = StepSystem(st, 1e-2, "vertex")
-        calls = [(name, i, j) for name in ("residual", "functional", "activation_mask", "tolerance")
-                 for i in range(2) for j in range(2)]
+        read = {"residual": StepSystem.residual, "functional": StepSystem.functional,
+                "act": lambda s, u, a: s.record(u, a).act, "tol": lambda s, u, a: s.record(u, a).tol,
+                "slack": lambda s, u, a: (s.functional(u, a), s.record(u, a).slack)}
+        calls = [(name, i, j) for name in read for i in range(2) for j in range(2)]
         order = np.random.default_rng(6).permutation(2 * len(calls)) % len(calls)
         for name, i, j in (calls[k] for k in order):
-            got = getattr(system, name)(iterates[i], masks[j])
-            want = getattr(StepSystem(st, 1e-2, "vertex"), name)(iterates[i], masks[j])
+            got = read[name](system, iterates[i], masks[j])
+            want = read[name](StepSystem(st, 1e-2, "vertex"), iterates[i], masks[j])
             assert np.array_equal(got, want), (name, i, j)
 
     def test_recorded_arrays_are_read_only(self):
@@ -615,6 +653,14 @@ class TestFailureModes:
         st = init_log_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
         with pytest.raises(SolverError, match=r"^log-density Newton did not converge in 1 iterations: "
                                               r"residual \d\.\d{3}e-0\d on 19 active vertices$"):
+            step_logdensity(st, 0.1)
+
+    def test_zero_budget_message(self, monkeypatch):
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 0)
+        mesh = build_structured_mesh("interval", (-10, 10), 30)
+        st = init_log_state(mesh, get_problem("barenblatt1d", 2.0).rho0, 2.0)
+        with pytest.raises(SolverError, match=r"^log-density Newton did not converge in 0 iterations: "
+                                              r"residual \d\.\d{3}e[+-]\d\d on 17 active vertices$"):
             step_logdensity(st, 0.1)
 
     def test_linear_solve_failure_message(self, monkeypatch):

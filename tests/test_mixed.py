@@ -716,3 +716,13 @@ class TestFailureModes:
         with pytest.raises(SolverError, match=r"^mixed Newton did not converge in 2 iterations: "
                                               r"residual \d\.\d{3}e-0\d on 32 coupled cells$"):
             step_mixed(st, 1e-3)
+
+    def test_zero_budget_message(self, monkeypatch):
+        # no update: the coupled cells are those of the start iterate
+        monkeypatch.setattr(assembly, "NEWTON_MAXITER", 0)
+        problem = get_problem("horseshoe", 3.0)
+        mesh = build_structured_mesh("acute_triangle", problem.domain, (8, 8))
+        st = init_mixed_state(mesh, problem.rho0, 3.0, compute_edge_geometry(mesh))
+        with pytest.raises(SolverError, match=r"^mixed Newton did not converge in 0 iterations: "
+                                              r"residual \d\.\d{3}e[+-]\d\d on \d+ coupled cells$"):
+            step_mixed(st, 1e-3)
