@@ -34,6 +34,10 @@ LINE_SEARCH_HALVINGS = 50
 #: relative roundoff of a Newton residual and of a step functional
 ROUNDOFF = 64 * np.finfo(float).eps
 
+#: Newton tolerance of both schemes on the residual max-norm, relative to the
+#: step scale S (the largest mass times previous density), floored at roundoff
+NEWTON_RTOL = 1e-8
+
 
 class Pattern:
     """Fixed symmetric CSR pattern: ``indptr``/``indices``, the row of every
@@ -268,12 +272,16 @@ def stiffness_vertex_quadrature(graph: VertexGraph, u_prev, m, active) -> GraphM
 PCG_MAXITER = 500
 
 #: largest forcing term of an inexact Newton solve (at 1e-2 the mixed Newton
-#: stops at its budget for m = 1.0001)
+#: stops at its budget for m = 1.0001, at 1e-3 on the 16x16 horseshoe at m = 4)
 FORCING_CAP = 1e-4
 
 #: an inexact Newton solve stops at no less than this fraction of the Newton
 #: tolerance (at 1e-1 the mixed mass factor on the horseshoe exceeds 1e-12)
 FORCING_FLOOR = 1e-2
+
+#: forcing term per unit of Newton residual over S (at 1e-2 the m = 2 horseshoe
+#: takes 80 solves, not 65; at 1e-4 mixed-horseshoe 3,722 PCG iterations, not 3,438)
+FORCING_SCALE = 1e-3
 
 
 def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
@@ -289,13 +297,16 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
 
     A Newton loop whose start residual r0 = rhs - K x0 is its Newton
     residual asks for an inexact solve by passing its Newton tolerance as
-    ``forcing``: PCG stops at max(1e-12 ||rhs||, eta ||r0||,
-    FORCING_FLOOR * forcing) with eta = min(FORCING_CAP, ||r0||), so Newton
-    keeps its quadratic rate and no solve goes far below what the Newton
-    tolerance can see.  The direct solves ignore it.
+    ``forcing``, read as NEWTON_RTOL * S: PCG stops at max(1e-12 ||rhs||,
+    eta ||r0||, FORCING_FLOOR * forcing) with eta = min(FORCING_CAP,
+    FORCING_SCALE ||r0|| / S), so Newton keeps its quadratic rate, the
+    solve is free of the data's units, and no solve goes far below what the
+    Newton tolerance can see.  The direct solves ignore it.  PCG accepts the
+    direct solves' backward-error bound too.
 
-    Raises ValueError on a negative shift or an x0 that is not a finite
-    vector of the system's size, SolverError on singular systems."""
+    Raises ValueError on a negative shift, an x0 that is not a finite vector
+    of the system's size or a forcing that is not finite and positive,
+    SolverError on singular systems."""
     shift = np.asarray(shift, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if A.n == 0:
@@ -305,6 +316,8 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (A.n,) or not np.all(np.isfinite(x0)):
         raise ValueError(f"start point must be {A.n} finite values")
+    if forcing is not None and not (np.isfinite(forcing) and forcing > 0):
+        raise ValueError("forcing must be finite and positive")
     tol = 1e-12 * np.linalg.norm(rhs)
     K = A.shifted(shift)
     if K.pattern.superdiagonal is not None:
@@ -327,31 +340,36 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
     return _refined(x, lu.solve, K, rhs, tol)
 
 
+def _accepted(K, x, rhs, tol):
+    """Whether the true residual of x meets tol or the normwise backward-error
+    bound 1e-12 (||rhs|| + ||K||_inf ||x||): at large dt ||K|| ||x|| dwarfs
+    ||rhs||, and a backward stable solution is accepted (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 7)."""
+    res = np.linalg.norm(K @ x - rhs)
+    return res <= tol or res <= 1e-12 * (np.linalg.norm(rhs) + K.norm_inf() * np.linalg.norm(x))
+
+
 def _refined(x, solve, K, rhs, tol):
     """A direct solution x of K x = rhs, given ``solve`` on K's factors: one
     step of iterative refinement where its residual exceeds tol, then
-    accepted at tol or at the normwise backward-error bound.  Raises
-    SolverError otherwise or on a non-finite x."""
+    accepted by ``_accepted``.  Raises SolverError otherwise or on a
+    non-finite x."""
     if not np.all(np.isfinite(x)):
         raise SolverError("singular system: non-finite solution")
     res = K @ x - rhs
     if np.linalg.norm(res) > tol:
         x = x - solve(res)  # one step of iterative refinement
-        res = np.linalg.norm(K @ x - rhs)
-        # at large dt ||K|| ||x|| dwarfs ||rhs||: accept a normwise backward
-        # stable solution (Higham, Accuracy and Stability of Numerical
-        # Algorithms, 2002, ch. 7)
-        if res > tol and res > 1e-12 * (np.linalg.norm(rhs) + K.norm_inf() * np.linalg.norm(x)):
+        if not _accepted(K, x, rhs, tol):
             raise SolverError("linear solve did not reach the residual bound")
     return x
 
 
 def _jacobi_pcg(K, d, b, tol, x0, forcing):
-    """Jacobi-preconditioned CG from x = x0.  Returns x when its true
-    residual is at most tol, or the forced tolerance of ``spd_solve`` where
-    a Newton tolerance ``forcing`` makes that looser, or None when K is not
-    positive definite along a search direction or PCG_MAXITER iterations do
-    not get there.  Each solve is logged at DEBUG."""
+    """Jacobi-preconditioned CG from x = x0.  Returns x once ``_accepted``
+    at tol, or at the forced tolerance of ``spd_solve`` where a Newton
+    tolerance ``forcing`` makes that looser, or None when K is not positive
+    definite along a search direction or PCG_MAXITER iterations do not get
+    there.  Each solve is logged at DEBUG."""
     if not np.all(d > 0):
         return None
     inv = 1.0 / d
@@ -360,7 +378,7 @@ def _jacobi_pcg(K, d, b, tol, x0, forcing):
     kind = "strict"
     if forcing is not None:
         r0 = np.linalg.norm(r)
-        forced = max(min(FORCING_CAP, r0) * r0, FORCING_FLOOR * forcing)
+        forced = max(min(FORCING_CAP, FORCING_SCALE * NEWTON_RTOL * r0 / forcing) * r0, FORCING_FLOOR * forcing)
         if forced > tol:
             tol, kind = forced, "forced"
     z = inv * r
@@ -368,7 +386,7 @@ def _jacobi_pcg(K, d, b, tol, x0, forcing):
     rz = r @ z
     for k in range(PCG_MAXITER):
         if r @ r <= 0.25 * tol * tol:  # the recurrence drifts from b - Kx: check that too
-            ok = np.linalg.norm(b - K @ x) <= tol
+            ok = _accepted(K, x, b, tol)
             log.debug("PCG on %d unknowns: %d iterations, %s tolerance %.3e%s",
                       len(b), k, kind, tol, "" if ok else ", true residual missed it")
             return x if ok else None

@@ -10,10 +10,10 @@ on the active set, where M is the lumped mass and A^{n-1} the nonlinear
 stiffness assembled from the previous iterate, restricted to the active
 subgraph so that it moves no mass.  Degrees of freedom are (de)activated
 inside every Newton iteration by a diagonal cutoff test, which is how the
-free boundary advances through previously empty vertices.  The tolerance
-and the cutoff are relative to the step's scale S = max(M exp(u^{n-1})), so
-a run from lambda * rho0 with step lambda^(1-m) dt is lambda times the unit
-run.
+free boundary advances through previously empty vertices.  The Newton
+tolerance, NEWTON_RTOL shared with the mixed scheme, and the cutoff are
+relative to the step's scale S = max(M exp(u^{n-1})), so a run from
+lambda * rho0 with step lambda^(1-m) dt is lambda times the unit run.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from . import assembly
 from .assembly import (
     LINE_SEARCH_HALVINGS,
+    NEWTON_RTOL,
     ROUNDOFF,
     SolverError,
     VertexGraph,
@@ -43,9 +44,6 @@ LOG_FLOOR = -50.0
 
 #: a vertex is active while its Newton diagonal M e^u + dt A_ii exceeds CUTOFF * S
 CUTOFF = 1e-14
-
-#: Newton tolerance on the residual max-norm, relative to S
-NEWTON_RTOL = 1e-10
 
 VARIANTS = ("vertex", "edge")
 
@@ -132,9 +130,9 @@ class StepSystem:
         """The record of the last iterate (u, active) asked for, keyed on the
         identity of both arrays, which it makes read-only: ``dens``, ``act``
         (the cutoff test on the Newton diagonal, ``active`` itself while
-        stable), ``tol`` (NEWTON_RTOL * S, floored at the residual's roundoff)
-        and, once needed by ``residual`` or ``functional``, ``Ku = K u[active]``,
-        ``f`` and its roundoff ``slack``."""
+        stable), ``tol`` (NEWTON_RTOL * S, floored at the residual's
+        roundoff) and, once needed by ``residual`` or ``functional``,
+        ``Ku = K u[active]``, ``f`` and its roundoff ``slack``."""
         rec = self._record
         if rec is None or rec.u is not u or rec.active is not active:
             u.flags.writeable = active.flags.writeable = False

@@ -29,14 +29,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import assembly
-from .assembly import LINE_SEARCH_HALVINGS, ROUNDOFF, GraphOperator, SolverError
+from .assembly import LINE_SEARCH_HALVINGS, NEWTON_RTOL, ROUNDOFF, GraphOperator, SolverError
 from .assembly import spd_solve as spsolve
 from .mesh import Mesh, MeshError, is_delaunay
 
 log = logging.getLogger(__name__)
-
-#: Newton residual tolerance (inf-norm, in mass units), floored at roundoff
-NEWTON_TOL = 1e-11
 
 
 class CellGraph(GraphOperator):
@@ -122,11 +119,11 @@ def step_mixed(state: MixedState, dt) -> MixedState:
     """Advance one implicit step with at most NEWTON_MAXITER Newton updates
     from max(rho + dt * rate, 0), or from rho for a state without a rate;
     each update lowers J, its step in mu halved at most LINE_SEARCH_HALVINGS
-    times.  Cell mass balances hold to NEWTON_TOL, floored at the residual's
-    roundoff; the accepted density is clipped at 0, within that tolerance,
-    and scaled by M(rho_prev)/M(rho) to the previous step's mass (logged at
-    DEBUG with the Newton iterations, halvings and steps in mu).  Uniform
-    states without a rate are returned unchanged."""
+    times.  Cell mass balances hold to NEWTON_RTOL max |K| rho_prev, floored
+    at the residual's roundoff; the accepted density is clipped at 0, within
+    that tolerance, and scaled by M(rho_prev)/M(rho) to the previous step's
+    mass (logged at DEBUG with the Newton iterations, halvings and steps in
+    mu).  Uniform states without a rate are returned unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     dt = float(dt)
@@ -150,7 +147,7 @@ def step_mixed(state: MixedState, dt) -> MixedState:
         a, b = (1.0 - 1.0 / m) * float(rho @ (vol * mu)), float(rho_prev @ (vol * mu))  # rho^m = (m-1)/m rho mu
         faces = 0.5 * float((f * flux) @ graph.omega)  # J's face sum is f_E d_E / 2 >= 0, d_E = omega_E flux_E
         return SimpleNamespace(rho=rho, mu=mu, rhat=rhat, r=r, res=float(np.max(np.abs(r))),
-                               tol=max(NEWTON_TOL, ROUNDOFF * (scale + lap_norm * mu.max())),
+                               tol=max(NEWTON_RTOL * scale, ROUNDOFF * (scale + lap_norm * mu.max())),
                                J=a - b + faces, slack=ROUNDOFF * (a + b + faces))
 
     def context():  # the tail of a failure message

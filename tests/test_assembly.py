@@ -410,6 +410,9 @@ def counted_pcg(monkeypatch):
             products.append(1)
             return self.K @ x
 
+        def norm_inf(self):  # read by the backward-error test
+            return self.K.norm_inf()
+
     pcg = assembly._jacobi_pcg
     monkeypatch.setattr(assembly, "_jacobi_pcg", lambda K, *args: pcg(Counted(K), *args))
     return products
@@ -503,22 +506,25 @@ class TestSpdSolve:
 
     @pytest.mark.parametrize("offset", [1e-1, 1e-4, 1e-7])
     def test_forcing_bound_with_fewer_products(self, monkeypatch, offset):
-        # r0 above and below the cap: eta = 1e-4, then eta = ||r0||
+        # a Newton tolerance 1e-12 ||rhs||, whose floor lies below the strict
+        # bound, read as NEWTON_RTOL * S: eta = min(FORCING_CAP,
+        # FORCING_SCALE ||r0|| / S), at the cap for the two larger offsets
         m, A, rng = stiffness_2d()
         shift = rng.uniform(0.5, 2.0, size=m.n_vertices) / m.n_vertices
         rhs = rng.normal(size=m.n_vertices)
         monkeypatch.setattr(assembly, "splu", no_lu)
         K = A.shifted(shift).tocsr()
         x0 = np.linalg.solve(K.toarray(), rhs) + offset * rng.normal(size=m.n_vertices)
-        r0 = np.linalg.norm(rhs - K @ x0)
-        bound = max(1e-12 * np.linalg.norm(rhs), min(1e-4, r0) * r0)
-        assert bound > 1e-12 * np.linalg.norm(rhs)
+        r0, tol = np.linalg.norm(rhs - K @ x0), 1e-12 * np.linalg.norm(rhs)
+        eta = assembly.FORCING_SCALE * r0 / (tol / assembly.NEWTON_RTOL)
+        assert (eta > assembly.FORCING_CAP) == (offset > 1e-5)
+        bound = max(tol, min(assembly.FORCING_CAP, eta) * r0)
+        assert bound > tol
         products = counted_pcg(monkeypatch)
         strict = spd_solve(A, shift, rhs, x0)
         strict_products = len(products)
         products.clear()
-        # a Newton tolerance whose floor lies below the strict bound
-        x = spd_solve(A, shift, rhs, x0, forcing=1e-12 * np.linalg.norm(rhs))
+        x = spd_solve(A, shift, rhs, x0, forcing=tol)
         assert np.linalg.norm(rhs - K @ x) <= bound
         assert len(products) < strict_products
         assert not np.array_equal(x, strict)
@@ -535,15 +541,29 @@ class TestSpdSolve:
         x0 = np.linalg.solve(K.toarray(), rhs) + 1e-6 * rng.normal(size=m.n_vertices)
         r0 = np.linalg.norm(rhs - K @ x0)
         tol = r0 / ratio
-        forced = max(1e-12 * np.linalg.norm(rhs), min(assembly.FORCING_CAP, r0) * r0)
+        eta = min(assembly.FORCING_CAP, assembly.FORCING_SCALE * r0 / (tol / assembly.NEWTON_RTOL))
+        forced = max(1e-12 * np.linalg.norm(rhs), eta * r0)
         assert assembly.FORCING_FLOOR * tol > forced
         products = counted_pcg(monkeypatch)
-        spd_solve(A, shift, rhs, x0, forcing=0.0)  # the forcing term alone
+        with monkeypatch.context() as patch:
+            patch.setattr(assembly, "FORCING_FLOOR", 0.0)  # the forcing term alone
+            spd_solve(A, shift, rhs, x0, forcing=tol)
         unfloored = len(products)
         products.clear()
         x = spd_solve(A, shift, rhs, x0, forcing=tol)
         assert np.linalg.norm(rhs - K @ x) <= max(forced, assembly.FORCING_FLOOR * tol)
         assert len(products) < unfloored
+
+    @pytest.mark.parametrize("mesh", [("interval", (0, 1), 4), ("acute_triangle", ((0, 1), (0, 1)), (4, 4))],
+                             ids=["dptsv", "pcg"])
+    @pytest.mark.parametrize("forcing", [0.0, -1e-10, np.nan, np.inf])
+    def test_bad_forcing_rejected(self, mesh, forcing):
+        # the forcing term divides by the Newton tolerance
+        m = build_structured_mesh(*mesh)
+        A = stiffness_vertex_quadrature(VertexGraph(m), np.zeros(m.n_vertices), 2.0, all_active(m))
+        n = m.n_vertices
+        with pytest.raises(ValueError, match="forcing"):
+            spd_solve(A, np.ones(n), np.ones(n), np.zeros(n), forcing=forcing)
 
     def test_zero_start_takes_no_product(self, monkeypatch):
         m, A, rng = stiffness_2d()
@@ -681,21 +701,23 @@ class TestTridiagonalSolve:
 
     def test_no_cli_config_reaches_lu(self, monkeypatch):
         # every scheme x problem x mesh kind x variant the config check accepts,
-        # 3 steps on a small mesh: sparse LU is only the fallback
+        # 3 steps on a small mesh: sparse LU is only the fallback.  At large dt
+        # PCG meets the direct solves' backward-error bound, not 1e-12 ||rhs||
+        # (5 and 21 LU solves at dt = 1e3 and 1e5 without it)
         monkeypatch.setattr(assembly, "splu", no_lu)
         runs = 0
-        for scheme, problem, kind, variant in itertools.product(
-                SCHEMES, PROBLEM_NAMES, STRUCTURED_KINDS, VARIANTS):
+        for dt, scheme, problem, kind, variant in itertools.product(
+                (1e-2, 1e3, 1e5), SCHEMES, PROBLEM_NAMES, STRUCTURED_KINDS, VARIANTS):
             counts = (20,) if kind == "interval" else (6, 6)
             try:
-                cfg = validate_config(RunConfig(scheme=scheme, problem=problem, m=2.0, dt=1e-2, T=3e-2,
+                cfg = validate_config(RunConfig(scheme=scheme, problem=problem, m=2.0, dt=dt, T=3 * dt,
                                                 mesh_kind=kind, counts=counts, variant=variant))
             except ConfigError:
                 continue
             _, records = run_simulation(cfg)
             assert len(records) == 3
             runs += 1
-        assert runs >= 20
+        assert runs >= 3 * 20
 
     def test_indefinite_system_falls_back_to_lu_once(self, monkeypatch, caplog):
         m, A, rng = path_stiffness(30)
@@ -732,6 +754,25 @@ class TestTridiagonalSolve:
         ref = lu.solve(rhs)
         ref -= lu.solve(K @ ref - rhs)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_large_dt_pcg_accepted_by_the_backward_error_bound(self, monkeypatch, caplog):
+        # as the direct solves: 1e-12 ||rhs|| is out of reach, and LU's own
+        # refined solution misses it too
+        m, A, _ = stiffness_2d()
+        A = GraphMatrix(A.pattern, 1e5 * A.data)
+        shift, rhs = lumped_mass(m), np.ones(m.n_vertices)
+        monkeypatch.setattr(assembly, "splu", no_lu)
+        with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
+            x = spd_solve(A, shift, rhs, np.zeros(m.n_vertices))
+        assert "missed" not in caplog.records[-1].getMessage()
+        K = A.shifted(shift).tocsr()
+        res, norm_b = np.linalg.norm(K @ x - rhs), np.linalg.norm(rhs)
+        assert 1e-12 * norm_b < res <= 1e-12 * (norm_b + np.abs(K).sum(axis=1).max() * np.linalg.norm(x))
+        lu = splu(K.T)
+        ref = lu.solve(rhs)
+        ref -= lu.solve(K @ ref - rhs)
+        assert np.linalg.norm(K @ ref - rhs) > 1e-12 * norm_b
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
     def test_bands_computed_once_per_sub_pattern(self, monkeypatch):
         computed, builds, solves = [], [], []

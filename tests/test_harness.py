@@ -77,8 +77,7 @@ class TestParseConfig:
         assert cfg.variant == "vertex"
         # single-valued settings are module constants, not config keys
         assert assembly.NEWTON_MAXITER == 50
-        assert mx.NEWTON_TOL == 1e-11
-        assert ld.NEWTON_RTOL == 1e-10
+        assert assembly.NEWTON_RTOL == 1e-8  # both schemes, relative to the step scale
         assert ld.CUTOFF == 1e-14
         assert ld.LOG_FLOOR == -50.0
         assert DELAUNAY_TOL == 1e-12

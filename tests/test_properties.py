@@ -20,9 +20,9 @@ MESH = build_structured_mesh("acute_triangle", ((-1, 1), (-1, 1)), (8, 8))
 QUAD_MESH = build_structured_mesh("quad", ((-1, 1), (-1, 1)), (8, 8))
 
 exponents = st.floats(min_value=1.0, max_value=4.0, exclude_min=True)
-# The mixed scheme's potential m/(m-1) rho^(m-1) scales with 1/(m-1): within
-# 1e-6 of m = 1 its absolute Newton tolerance is not met.  Its range stops
-# short of that.
+# The mixed scheme's potential m/(m-1) rho^(m-1) scales with 1/(m-1): at
+# m = 1 + 1e-7 its Newton stops at the budget on the widest cap at dt = 1e-2.
+# Its range stops short of that.
 mixed_exponents = st.floats(min_value=1.0001, max_value=4.0)
 centers = st.floats(min_value=-0.4, max_value=0.4)
 radii = st.floats(min_value=0.3, max_value=0.6)
