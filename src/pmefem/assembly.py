@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dptsv, dpttrs
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import splu
 
 from .mesh import INTERVAL, QUAD, TRIANGLE, Mesh
@@ -44,8 +45,8 @@ class Pattern:
     entry and the position of every diagonal entry.  It keeps the sub-pattern
     of the last mask it was restricted to, as one entry (a copy of the mask,
     the kept entry positions and the sub-pattern) that is replaced whole.
-    Its bands, by which ``spd_solve`` picks a path, and the CSR skeleton
-    that its matrices multiply with are computed once, on first use."""
+    Its bands, by which ``spd_solve`` picks a path, are computed once, on
+    first use."""
 
     def __init__(self, indptr, indices, rows, diag):
         self.indptr, self.indices, self.rows, self.diag = indptr, indices, rows, diag
@@ -70,13 +71,6 @@ class Pattern:
         indptr = np.zeros(node[-1] + 2, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=node[-1] + 1), out=indptr[1:])
         return keep, Pattern(indptr, cols, rows, np.flatnonzero(rows == cols))
-
-    @cached_property
-    def skeleton(self):
-        """A CSR matrix on this pattern (scipy stores int32 indices where
-        they fit), whose data every product of a :class:`GraphMatrix` on
-        the pattern replaces."""
-        return sparse.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr), shape=(self.n, self.n))
 
     @cached_property
     def superdiagonal(self):
@@ -128,12 +122,13 @@ class GraphOperator(Pattern):
 
 
 class GraphMatrix:
-    """Values on a fixed symmetric :class:`Pattern`.  Products run on the
-    pattern's shared CSR skeleton, which holds the data of the matrix that
-    multiplied last, so matrices on one pattern multiply from one thread at
-    a time; ``tocsr`` gives a matrix of its own."""
+    """Values on a fixed symmetric :class:`Pattern`.  Products run scipy's
+    CSR kernel on the pattern's ``indptr``/``indices`` and these values;
+    ``tocsr`` builds a scipy matrix, for the LU fallback."""
 
     def __init__(self, pattern: Pattern, data):
+        if np.shape(data) != (pattern.nnz,):
+            raise ValueError(f"a matrix on this pattern holds {pattern.nnz} values")
         self.pattern, self.data, self.n = pattern, data, pattern.n
 
     def tocsr(self):
@@ -148,9 +143,17 @@ class GraphMatrix:
         return float(np.max(np.add.reduceat(np.abs(self.data), self.pattern.indptr[:-1]), initial=0.0))
 
     def __matmul__(self, x):
-        skeleton = self.pattern.skeleton
-        skeleton.data = self.data
-        return skeleton @ x
+        return self.matvec(np.asarray(x), np.empty(self.n))
+
+    def matvec(self, x, out):
+        """A x written into the float vector ``out`` (not x itself), which it
+        returns.  The kernel does not check sizes, so a vector of another
+        shape raises here."""
+        if x.shape != (self.n,) or out.shape != (self.n,):
+            raise ValueError(f"products take and give vectors of {self.n} values")
+        out.fill(0.0)  # the kernel adds A x to out
+        csr_matvec(self.n, self.n, self.pattern.indptr, self.pattern.indices, self.data, x, out)
+        return out
 
     def shifted(self, shift):
         """A + diag(shift)."""
@@ -341,12 +344,18 @@ def spd_solve(A: GraphMatrix, shift, rhs, x0, *, forcing=None):
 
 
 def _accepted(K, x, rhs, tol):
-    """Whether the true residual of x meets tol or the normwise backward-error
-    bound 1e-12 (||rhs|| + ||K||_inf ||x||): at large dt ||K|| ||x|| dwarfs
-    ||rhs||, and a backward stable solution is accepted (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, ch. 7)."""
+    """(test, res): the true residual norm of x and the test it passes,
+    "tolerance" where it meets tol, else "backward-error bound" where it
+    meets the normwise bound 1e-12 (||rhs|| + ||K||_inf ||x||), else None:
+    at large dt ||K|| ||x|| dwarfs ||rhs||, and a backward stable solution
+    is accepted (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 7)."""
     res = np.linalg.norm(K @ x - rhs)
-    return res <= tol or res <= 1e-12 * (np.linalg.norm(rhs) + K.norm_inf() * np.linalg.norm(x))
+    if res <= tol:
+        return "tolerance", res
+    if res <= 1e-12 * (np.linalg.norm(rhs) + K.norm_inf() * np.linalg.norm(x)):
+        return "backward-error bound", res
+    return None, res
 
 
 def _refined(x, solve, K, rhs, tol):
@@ -359,7 +368,7 @@ def _refined(x, solve, K, rhs, tol):
     res = K @ x - rhs
     if np.linalg.norm(res) > tol:
         x = x - solve(res)  # one step of iterative refinement
-        if not _accepted(K, x, rhs, tol):
+        if _accepted(K, x, rhs, tol)[0] is None:
             raise SolverError("linear solve did not reach the residual bound")
     return x
 
@@ -369,12 +378,14 @@ def _jacobi_pcg(K, d, b, tol, x0, forcing):
     at tol, or at the forced tolerance of ``spd_solve`` where a Newton
     tolerance ``forcing`` makes that looser, or None when K is not positive
     definite along a search direction or PCG_MAXITER iterations do not get
-    there.  Each solve is logged at DEBUG."""
+    there.  Each solve is logged at DEBUG, with the test that accepted it.
+    The work vectors are allocated once and updated in place."""
     if not np.all(d > 0):
         return None
     inv = 1.0 / d
-    x = x0.copy()
-    r = b - K @ x if x.any() else b.copy()
+    x, r, q, step = x0.copy(), b.copy(), np.empty_like(b), np.empty_like(b)
+    if x.any():
+        r -= K.matvec(x, q)
     kind = "strict"
     if forcing is not None:
         r0 = np.linalg.norm(r)
@@ -386,20 +397,21 @@ def _jacobi_pcg(K, d, b, tol, x0, forcing):
     rz = r @ z
     for k in range(PCG_MAXITER):
         if r @ r <= 0.25 * tol * tol:  # the recurrence drifts from b - Kx: check that too
-            ok = _accepted(K, x, b, tol)
-            log.debug("PCG on %d unknowns: %d iterations, %s tolerance %.3e%s",
-                      len(b), k, kind, tol, "" if ok else ", true residual missed it")
-            return x if ok else None
-        q = K @ p
+            test, res = _accepted(K, x, b, tol)
+            log.debug("PCG on %d unknowns: %d iterations, %s tolerance %.3e, true residual %.3e %s", len(b), k,
+                      kind, tol, res, f"accepted by the {test}" if test else "missed it and the backward-error bound")
+            return x if test else None
+        K.matvec(p, q)
         pq = p @ q
         if not pq > 0:
             log.debug("PCG on %d unknowns: breakdown after %d iterations", len(b), k)
             return None
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        z = inv * r
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
+        np.multiply(inv, r, out=z)
         rz_old, rz = rz, r @ z
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old
+        p += z
     log.debug("PCG on %d unknowns: %d iterations did not reach tolerance %.3e", len(b), PCG_MAXITER, tol)
     return None

@@ -402,19 +402,13 @@ def counted_pcg(monkeypatch):
     """Count the matrix-vector products of every PCG solve."""
     products = []
 
-    class Counted:
-        def __init__(self, K):
-            self.K = K
-
-        def __matmul__(self, x):
+    class Counted(GraphMatrix):
+        def matvec(self, x, out):  # every product, ``@`` included
             products.append(1)
-            return self.K @ x
-
-        def norm_inf(self):  # read by the backward-error test
-            return self.K.norm_inf()
+            return super().matvec(x, out)
 
     pcg = assembly._jacobi_pcg
-    monkeypatch.setattr(assembly, "_jacobi_pcg", lambda K, *args: pcg(Counted(K), *args))
+    monkeypatch.setattr(assembly, "_jacobi_pcg", lambda K, *args: pcg(Counted(K.pattern, K.data), *args))
     return products
 
 
@@ -593,11 +587,30 @@ class TestSpdSolve:
         with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
             spd_solve(A, shift, rhs, x0)
             spd_solve(A, shift, rhs, x0, forcing=1e-12 * np.linalg.norm(rhs))
-        (n, strict, kind, tol, _), (_, forced, forced_kind, forced_tol, _) = (r.args for r in caplog.records)
+        ((n, strict, kind, tol, res, test), (_, forced, forced_kind, forced_tol, forced_res, forced_test)) = (
+            r.args for r in caplog.records)
         assert n == m.n_vertices
         assert (kind, forced_kind) == ("strict", "forced")
         assert tol == 1e-12 * np.linalg.norm(rhs) < forced_tol
         assert 0 < forced < strict
+        assert res <= tol and forced_res <= forced_tol
+        assert test == forced_test == "accepted by the tolerance"
+
+    def test_log_names_the_accepting_test(self, caplog):
+        # the CI smoke config at dt = 1e5: 4 of its 16 PCG solves miss their
+        # tolerance and pass on the backward-error bound, and their DEBUG
+        # lines say so with the true residual
+        cfg = validate_config(RunConfig(scheme="logdensity", problem="horseshoe", m=3.0, dt=1e5, T=3e5,
+                                        mesh_kind="acute_triangle", counts=(8, 8), variant="vertex"))
+        with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
+            run_simulation(cfg)
+        solves = [r.args[3:] for r in caplog.records if r.name == "pmefem.assembly"]
+        assert len(solves) == 16
+        bound = [(tol, res) for tol, res, test in solves if test == "accepted by the backward-error bound"]
+        assert len(bound) == 4
+        assert all(res > tol for tol, res in bound)
+        assert all(res <= tol for tol, res, test in solves if test == "accepted by the tolerance")
+        assert sum(test == "accepted by the tolerance" for *_, test in solves) == 12
 
     @pytest.mark.parametrize("mesh", [("interval", (0, 1), 4), ("acute_triangle", ((0, 1), (0, 1)), (4, 4))],
                              ids=["lu", "pcg"])
@@ -764,7 +777,7 @@ class TestTridiagonalSolve:
         monkeypatch.setattr(assembly, "splu", no_lu)
         with caplog.at_level(logging.DEBUG, logger="pmefem.assembly"):
             x = spd_solve(A, shift, rhs, np.zeros(m.n_vertices))
-        assert "missed" not in caplog.records[-1].getMessage()
+        assert caplog.records[-1].args[-1] == "accepted by the backward-error bound"
         K = A.shifted(shift).tocsr()
         res, norm_b = np.linalg.norm(K @ x - rhs), np.linalg.norm(rhs)
         assert 1e-12 * norm_b < res <= 1e-12 * (norm_b + np.abs(K).sum(axis=1).max() * np.linalg.norm(x))
@@ -942,22 +955,39 @@ class TestRestrictCache:
         assert len(builds) == changes < len(masks)
 
 
-SKELETON_MESH = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (6, 6))
+SUB_PATTERN_MESH = build_structured_mesh("acute_triangle", ((0, 1), (0, 1)), (6, 6))
 
 
 class TestCsrSkeleton:
-    """Products run on one CSR skeleton per pattern; ``tocsr`` stays an
-    independent matrix."""
+    """Products run scipy's CSR kernel on the pattern's own arrays, with no
+    scipy matrix; ``tocsr`` stays an independent matrix."""
 
-    def test_one_csr_per_sub_pattern(self, monkeypatch):
-        # the benchmark's mixed-horseshoe run: the only CSR matrices are the
-        # skeletons of the cell graph and of its sub-patterns
+    def test_no_csr_matrix_on_mixed_horseshoe(self, monkeypatch):
+        # the benchmark's mixed-horseshoe run builds sub-patterns but no CSR matrix
         builds, csrs = [], []
         sub_pattern, init = Pattern._sub_pattern, sparse.csr_matrix.__init__
         monkeypatch.setattr(Pattern, "_sub_pattern", lambda self, mask: builds.append(1) or sub_pattern(self, mask))
         monkeypatch.setattr(sparse.csr_matrix, "__init__", lambda self, *a, **kw: csrs.append(1) or init(self, *a, **kw))
         run_simulation(RunConfig(scheme="mixed", problem="horseshoe", m=3.0, dt=1e-3, T=0.1, counts=(40, 40)))
-        assert 0 < len(csrs) <= len(builds) + 1
+        assert len(builds) > 0
+        assert len(csrs) == 0
+
+    def test_product_into_the_given_buffer(self):
+        m, A, rng = stiffness_2d()
+        x, out = rng.normal(size=A.n), np.full(A.n, np.nan)  # the product overwrites what the buffer held
+        assert A.matvec(x, out) is out
+        assert out.tobytes() == (A.tocsr() @ x).tobytes()
+
+    @pytest.mark.parametrize("dx, dout", [(-1, 0), (1, 0), (0, -1), (0, 1)])
+    def test_product_of_another_size_rejected(self, dx, dout):
+        # the kernel reads and writes by the pattern alone
+        m, A, rng = stiffness_2d()
+        with pytest.raises(ValueError, match="vectors"):
+            A.matvec(np.ones(A.n + dx), np.empty(A.n + dout))
+        with pytest.raises(ValueError, match="vectors"):
+            A @ np.ones((A.n, 2))
+        with pytest.raises(ValueError, match="values"):
+            GraphMatrix(A.pattern, A.data[:-1])
 
     def test_interleaved_products_on_one_pattern(self):
         m, A, rng = stiffness_2d()
@@ -968,13 +998,13 @@ class TestCsrSkeleton:
         assert A.tocsr() is not A.tocsr()  # a matrix of its own for each caller
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(mask=st.lists(st.booleans(), min_size=SKELETON_MESH.n_vertices, max_size=SKELETON_MESH.n_vertices))
-    @example(mask=[True] + [False] * (SKELETON_MESH.n_vertices - 1))  # one isolated node
-    @example(mask=[i < 10 or i % 5 == 0 for i in range(SKELETON_MESH.n_vertices)])  # 7 isolated of 19
+    @given(mask=st.lists(st.booleans(), min_size=SUB_PATTERN_MESH.n_vertices, max_size=SUB_PATTERN_MESH.n_vertices))
+    @example(mask=[True] + [False] * (SUB_PATTERN_MESH.n_vertices - 1))  # one isolated node
+    @example(mask=[i < 10 or i % 5 == 0 for i in range(SUB_PATTERN_MESH.n_vertices)])  # 7 isolated of 19
     def test_sub_pattern_matches_scipy_masking(self, mask):
         mask = np.array(mask)
         assume(mask.any())
-        graph = VertexGraph(SKELETON_MESH)
+        graph = VertexGraph(SUB_PATTERN_MESH)
         A = GraphMatrix(graph, np.arange(1.0, graph.nnz + 1.0))  # no stored zero: scipy keeps every entry
         keep, sub = graph._sub_pattern(mask)
         ref = A.tocsr()[mask][:, mask]
@@ -984,3 +1014,5 @@ class TestCsrSkeleton:
         assert np.array_equal(sub.indices, ref.indices)
         assert np.array_equal(sub.diag, np.flatnonzero(ref.indices == ref_rows))
         assert np.array_equal(A.data[keep], ref.data)
+        S, x = GraphMatrix(sub, A.data[keep]), np.sin(np.arange(sub.n) + 1.0)
+        assert (S @ x).tobytes() == (S.tocsr() @ x).tobytes() == (ref @ x).tobytes()

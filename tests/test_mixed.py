@@ -500,10 +500,10 @@ class TestInexactNewton:
         forced = first_step_iterations()
         monkeypatch.setattr(mixed, "spsolve", lambda *args, **kw: spd_solve(*args))
         strict = first_step_iterations()
-        assert {kind for _, _, kind, _, _ in strict} == {"strict"}
-        assert "forced" in {kind for _, _, kind, _, _ in forced}
+        assert {kind for _, _, kind, *_ in strict} == {"strict"}
+        assert "forced" in {kind for _, _, kind, *_ in forced}
         assert len(forced) == len(strict)
-        assert sum(k for _, k, _, _, _ in forced) < sum(k for _, k, _, _, _ in strict)
+        assert sum(k for _, k, *_ in forced) < sum(k for _, k, *_ in strict)
 
 
 class TestPredictor:
